@@ -9,8 +9,9 @@
 //!
 //! Therefore `J*(X) ≤ Σ_{u offloaded} value(u, slot(u))` where
 //! `value(u, s, j) = λ_u(β_t+β_e) − download_cost
-//!                  − (φ_u + ψ_u p_u)/log₂(1+SNR_us^j) − η_u/f_s`,
-//! and the slots are pairwise distinct (constraint 12d). Maximizing the
+//!                  − (φ_u + ψ_u p_u)/log₂(1+SNR_us^j) − η_u/f_s`
+//! ([`Scenario::slot_value`], the formula the shard descent's move screen
+//! shares), and the slots are pairwise distinct (constraint 12d). Maximizing the
 //! right-hand side over injective user→slot assignments — a max-weight
 //! bipartite matching, solved exactly by [`max_weight_assignment`] — gives
 //! a certified upper bound on the optimum that is computable at scales
@@ -19,7 +20,7 @@
 
 use crate::hungarian::max_weight_assignment;
 use mec_system::Scenario;
-use mec_types::{ServerId, SubchannelId};
+use mec_types::SubchannelId;
 
 /// A certified upper bound on the JTORA optimum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,17 +31,6 @@ pub struct UpperBound {
     /// conflicts ignored) — cheaper, and useful as a sanity cross-check
     /// since it always dominates the matching bound.
     pub independent_bound: f64,
-}
-
-/// The interference-free value of user `u` on slot `(s, j)` (can be
-/// negative; the bound clamps at "stay local" = 0 via the matching).
-fn slot_value(scenario: &Scenario, u: mec_types::UserId, s: ServerId, j: SubchannelId) -> f64 {
-    let c = scenario.coefficients(u);
-    let p = scenario.tx_powers_watts()[u.index()];
-    let snr = p * scenario.gains().gain(u, s, j) / scenario.noise().as_watts();
-    let uplink = (c.phi + c.psi * p) / (1.0 + snr).log2();
-    let exec_floor = c.eta / scenario.server(s).capacity().as_hz();
-    c.gain_constant - c.download_cost - uplink - exec_floor
 }
 
 impl UpperBound {
@@ -70,7 +60,7 @@ pub fn upper_bound(scenario: &Scenario) -> UpperBound {
         let mut best = 0.0f64;
         for s in scenario.server_ids() {
             for j in 0..scenario.num_subchannels() {
-                let v = slot_value(scenario, u, s, SubchannelId::new(j));
+                let v = scenario.slot_value(u, s, SubchannelId::new(j));
                 best = best.max(v);
                 row.push(v);
             }

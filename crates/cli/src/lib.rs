@@ -480,12 +480,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CliError> {
             }
             let scenario =
                 scenario.ok_or_else(|| CliError::Usage("solve requires --scenario".into()))?;
-            if warm_resolves.is_some()
-                && !matches!(
-                    solver.to_ascii_lowercase().as_str(),
-                    "shard" | "tsajs-shard"
-                )
-            {
+            if warm_resolves.is_some() && !is_shard_solver(&solver) {
                 return Err(CliError::Usage(
                     "--warm-resolves is only supported by the shard solver".into(),
                 ));
@@ -820,20 +815,7 @@ pub fn build_solver(
             }
             Box::new(solver)
         }
-        "shard" | "tsajs-shard" => {
-            // The shard engine has no batched-proposal mode; its inner
-            // cluster solves run the tempering engine at K=1.
-            if batch.is_some() {
-                return Err(CliError::Usage(
-                    "--batch is not supported by the shard solver".into(),
-                ));
-            }
-            let mut solver = ShardSolver::new(ShardConfig::paper_default().with_seed(seed));
-            if let Some(n) = threads {
-                solver = solver.with_threads(n);
-            }
-            Box::new(solver)
-        }
+        "shard" | "tsajs-shard" => Box::new(shard_solver(seed, threads, batch)?),
         "hjtora" => Box::new(HJtoraSolver::new()),
         "greedy" => Box::new(GreedySolver::new()),
         "localsearch" | "local-search" => Box::new(LocalSearchSolver::with_seed(seed)),
@@ -848,6 +830,32 @@ pub fn build_solver(
         "alllocal" | "all-local" => Box::new(AllLocalSolver::new()),
         other => return Err(CliError::Usage(format!("unknown solver `{other}`"))),
     })
+}
+
+/// Whether `name` selects the sharded city-scale solver.
+fn is_shard_solver(name: &str) -> bool {
+    matches!(name.to_ascii_lowercase().as_str(), "shard" | "tsajs-shard")
+}
+
+/// The `shard` entry of [`build_solver`], typed so `solve` can read its
+/// [`ShardSolver::last_stats`].
+fn shard_solver(
+    seed: u64,
+    threads: Option<usize>,
+    batch: Option<usize>,
+) -> Result<ShardSolver, CliError> {
+    // The shard engine has no batched-proposal mode; its inner cluster
+    // solves run the tempering engine at K=1.
+    if batch.is_some() {
+        return Err(CliError::Usage(
+            "--batch is not supported by the shard solver".into(),
+        ));
+    }
+    let mut solver = ShardSolver::new(ShardConfig::paper_default().with_seed(seed));
+    if let Some(n) = threads {
+        solver = solver.with_threads(n);
+    }
+    Ok(solver)
 }
 
 /// Whether a scenario file holds a *declarative* spec (the versioned
@@ -976,8 +984,16 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             if let Some(repeats) = warm_resolves {
                 return run_warm_resolves(&scenario, seed, threads, repeats, out);
             }
-            let mut solver = build_solver(&solver, seed, threads, batch)?;
-            let solution = solver.solve(&scenario)?;
+            let (solver, solution, shard_stats) = if is_shard_solver(&solver) {
+                let mut shard = shard_solver(seed, threads, batch)?;
+                let solution = shard.solve(&scenario)?;
+                let stats = shard.last_stats();
+                (Box::new(shard) as Box<dyn Solver>, solution, stats)
+            } else {
+                let mut solver = build_solver(&solver, seed, threads, batch)?;
+                let solution = solver.solve(&scenario)?;
+                (solver, solution, None)
+            };
             let evaluation = solution.evaluate(&scenario)?;
             writeln!(out, "solver      : {}", solver.name())?;
             writeln!(out, "utility     : {:.6}", solution.utility)?;
@@ -1003,6 +1019,16 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 solution.stats.objective_evaluations,
                 solution.stats.elapsed.as_secs_f64() * 1e3
             )?;
+            if let Some(stats) = shard_stats {
+                let pruned = stats.proposals - stats.scored;
+                writeln!(
+                    out,
+                    "screen      : pruned {:.1}% of {} proposals ({} scored)",
+                    100.0 * pruned as f64 / stats.proposals.max(1) as f64,
+                    stats.proposals,
+                    stats.scored
+                )?;
+            }
             if let Some(path) = report {
                 let report = SolveReport {
                     solver: solver.name().to_string(),
@@ -1443,8 +1469,13 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
 mod tests {
     use super::*;
 
-    fn tmp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tsajs-cli-test-{}", std::process::id()));
+    /// A fresh scratch directory private to one test: tests run
+    /// concurrently, so a shared directory would let one test's cleanup
+    /// delete files another is still writing.
+    fn tmp_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("tsajs-cli-test-{}-{test}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1647,7 +1678,7 @@ mod tests {
 
     #[test]
     fn generate_solve_compare_end_to_end() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("generate_solve_compare_end_to_end");
         let scenario_path = dir.join("scenario.json");
         let report_path = dir.join("report.json");
 
@@ -1727,7 +1758,7 @@ mod tests {
 
     #[test]
     fn render_command_writes_an_svg() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("render_command_writes_an_svg");
         let scenario_path = dir.join("render.json");
         let svg_path = dir.join("out.svg");
         run(
@@ -1767,7 +1798,7 @@ mod tests {
 
     #[test]
     fn inspect_command_summarizes_a_scenario() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("inspect_command_summarizes_a_scenario");
         let path = dir.join("inspect.json");
         run(
             parse_args(&[
@@ -2068,7 +2099,7 @@ mod tests {
     #[test]
     fn solve_and_inspect_accept_declarative_toml_specs() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir();
+        let dir = tmp_dir("solve_and_inspect_accept_declarative_toml_specs");
         let path = dir.join("declarative.toml");
         let spec = ScenarioBuilder::new("cli-solve")
             .servers(4)
@@ -2127,7 +2158,7 @@ mod tests {
     #[test]
     fn online_scenario_spec_drives_the_timeline_end_to_end() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir();
+        let dir = tmp_dir("online_scenario_spec_drives_the_timeline_end_to_end");
         let path = dir.join("outage.toml");
         let spec = ScenarioBuilder::new("cli-outage")
             .servers(4)
@@ -2184,7 +2215,7 @@ mod tests {
     #[test]
     fn corpus_command_runs_a_directory_of_specs() {
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir().join("corpus");
+        let dir = tmp_dir("corpus");
         std::fs::create_dir_all(&dir).unwrap();
         let good = ScenarioBuilder::new("good")
             .servers(4)
@@ -2221,7 +2252,7 @@ mod tests {
             ),
             Err(CliError::Usage(_))
         ));
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2232,7 +2263,7 @@ mod tests {
         // `[expect]` miss. A corpus run that silently skipped broken
         // files would green-light a rotted corpus.
         use mec_scenario_spec::ScenarioBuilder;
-        let dir = tmp_dir().join("corpus-broken");
+        let dir = tmp_dir("corpus-broken");
         std::fs::create_dir_all(&dir).unwrap();
         let good = ScenarioBuilder::new("good")
             .servers(4)
@@ -2260,7 +2291,7 @@ mod tests {
         assert!(text.contains("FAIL malformed.toml"), "{text}");
         assert!(text.contains("FAIL invalid.toml"), "{text}");
         assert!(text.contains("1/3 specs passed"), "{text}");
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2359,7 +2390,7 @@ mod tests {
 
     #[test]
     fn loadtest_command_writes_the_verdict_and_side_artifacts() {
-        let dir = tmp_dir().join("loadtest");
+        let dir = tmp_dir("loadtest");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_service.json");
         let jsonl = dir.join("batches.jsonl");
@@ -2408,7 +2439,7 @@ mod tests {
         }
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert!(prom.contains("tsajs_service_batches_total"), "{prom}");
-        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2462,7 +2493,7 @@ mod tests {
 
     #[test]
     fn conformance_command_emits_a_clean_json_verdict() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("conformance_command_emits_a_clean_json_verdict");
         let report_path = dir.join("verdict.json");
         let mut buf = Vec::new();
         run(
@@ -2490,7 +2521,7 @@ mod tests {
 
     #[test]
     fn solve_reproduces_under_identical_seeds() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("solve_reproduces_under_identical_seeds");
         let scenario_path = dir.join("repro.json");
         run(
             parse_args(&[
@@ -2536,7 +2567,7 @@ mod tests {
 
     #[test]
     fn shard_solver_runs_from_the_registry_and_rejects_batching() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("shard_solver_runs_from_the_registry_and_rejects_batching");
         let scenario_path = dir.join("shard.json");
         run(
             parse_args(&[
@@ -2579,6 +2610,7 @@ mod tests {
         };
         let text = run_once();
         assert!(text.contains("TSAJS-SHARD"), "{text}");
+        assert!(text.contains("screen      : pruned "), "{text}");
         // Same seed, same run — the shard engine is fully deterministic.
         assert_eq!(text, run_once());
         assert!(matches!(
@@ -2633,7 +2665,7 @@ mod tests {
 
     #[test]
     fn warm_resolves_output_is_thread_count_independent() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("warm_resolves_output_is_thread_count_independent");
         let scenario_path = dir.join("warm.json");
         run(
             parse_args(&[

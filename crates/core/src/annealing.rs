@@ -3,7 +3,7 @@
 use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
 use crate::trace::{EpochRecord, SearchTrace};
-use mec_system::{Assignment, IncrementalObjective, MoveDesc, Scenario};
+use mec_system::{Assignment, Evaluator, IncrementalObjective, MoveDesc, Scenario};
 use mec_types::{ServerId, UserId};
 use rand::Rng;
 
@@ -336,19 +336,28 @@ pub fn anneal_from<R: Rng + ?Sized>(
         }
     }
 
-    // The all-local decision (J = 0) is always feasible; never return a
-    // worse-than-doing-nothing schedule even if the walk never crossed it.
-    if state.best_obj < 0.0 {
-        state.best = Assignment::all_local(scenario);
-        state.best_obj = 0.0;
-    }
-
+    let (assignment, objective) = settle_best(scenario, state.best);
     AnnealOutcome {
-        assignment: state.best,
-        objective: state.best_obj,
+        assignment,
+        objective,
         proposals: state.proposals,
         epochs,
         trace,
+    }
+}
+
+/// The decision a search returns, with its objective re-scored once from
+/// scratch by [`Evaluator::objective`]: the incremental sums a walk tracks
+/// its best value with drift by about an ulp per accepted move, and that
+/// drift must not leak into the reported objective. The all-local
+/// decision (`J = 0`) is always feasible, so a best that is worse than
+/// doing nothing (or not a number) falls back to it.
+pub(crate) fn settle_best(scenario: &Scenario, best: Assignment) -> (Assignment, f64) {
+    let objective = Evaluator::new(scenario).objective(&best);
+    if objective >= 0.0 {
+        (best, objective)
+    } else {
+        (Assignment::all_local(scenario), 0.0)
     }
 }
 
@@ -356,7 +365,7 @@ pub fn anneal_from<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use mec_radio::{ChannelGains, OfdmaConfig};
-    use mec_system::{Evaluator, UserSpec};
+    use mec_system::UserSpec;
     use mec_types::{Cycles, Hertz, ServerProfile, Watts};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

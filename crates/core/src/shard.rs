@@ -35,6 +35,11 @@
 //!      bit-compatible — clusters are revisited sequentially in index
 //!      order against a freshly recomputed external; cluster `c+1` sees
 //!      cluster `c`'s updated schedule within the same sweep.
+//!
+//!    Both run the same [`descent`], screened by each cluster's
+//!    [`SlotScreen`]: a local user's relocation that its
+//!    interference-free ceiling proves non-improving is counted but not
+//!    scored, so every decision matches the unscreened loop.
 //! 4. **Convergence** — sequential runs converge when a full sweep changes
 //!    no cluster's schedule. Pipelined runs additionally require a
 //!    **certification epoch**: once an epoch with skips changes nothing,
@@ -570,6 +575,13 @@ struct ClusterWork {
     /// Proposals spent by the current epoch's descent (consumed at the
     /// barrier).
     spent: u64,
+    /// Of `spent`, the proposals the descent actually scored (consumed at
+    /// the barrier).
+    scored: u64,
+    /// The descent's move screen over `scenario`, built once on the
+    /// worker pool next to the cluster's cold/warm solve and reused by
+    /// every visit of the run.
+    screen: SlotScreen,
     /// Cluster objective at the last descent, under the external it saw —
     /// the cheap per-cluster term [`ShardRun::finish_fast`] sums.
     last_obj: f64,
@@ -596,6 +608,8 @@ impl ClusterWork {
             eligible: true,
             changed: false,
             spent: 0,
+            scored: 0,
+            screen: SlotScreen::default(),
             last_obj: 0.0,
             scenario: subset,
             users,
@@ -625,6 +639,11 @@ pub struct ShardOutcome {
     pub converged: bool,
     /// Total proposals across cluster solves and descent sweeps.
     pub proposals: u64,
+    /// Of `proposals`, those actually scored: every cluster-solve
+    /// proposal plus the descent proposals the [`SlotScreen`] did not
+    /// prune. `proposals − scored` is the pruned count. Observational
+    /// only; no result depends on it.
+    pub scored: u64,
     /// Relative gap between the per-cluster halo-accounting objective sum
     /// and the monolithic resync — the decomposition's self-check,
     /// expected within the suite-wide `1e-9` tolerance. Only
@@ -671,6 +690,7 @@ impl ShardOutcome {
             sweeps: 0,
             converged: true,
             proposals: 0,
+            scored: 0,
             halo_residual: 0.0,
             sweep_residual: 0.0,
             resolved_clusters: 0,
@@ -706,6 +726,9 @@ pub struct ShardRun<'a> {
     /// cluster descends, no aging skips).
     certifying: bool,
     proposals: u64,
+    /// Of `proposals`, those actually scored (see
+    /// [`ShardOutcome::scored`]).
+    scored: u64,
     /// Largest exchange delta of the last sweep, relative to the largest
     /// halo magnitude.
     last_residual: f64,
@@ -748,33 +771,36 @@ impl<'a> ShardRun<'a> {
             ));
         }
 
-        // Cold shard phase: tempered TTSA per cluster, statically pinned
-        // to workers (cluster i → worker i mod W) with indexed collection,
-        // exactly the PR-5 pool discipline — identical at any pool width.
-        let mut outcomes: Vec<Option<AnnealOutcome>> = Vec::new();
+        // Cold shard phase: tempered TTSA per cluster plus its descent
+        // screen, statically pinned to workers (cluster i → worker i mod
+        // W) with indexed collection, the tempering pool's discipline —
+        // identical at any pool width.
+        let mut outcomes: Vec<Option<(AnnealOutcome, SlotScreen)>> = Vec::new();
         outcomes.resize_with(works.len(), || None);
         let worker_count = workers.max(1).min(works.len().max(1));
+        let solve_one = |work: &ClusterWork, kernel: &NeighborhoodKernel| {
+            (
+                cold_solve(work, &config, &cluster_seeds, kernel),
+                SlotScreen::new(&work.scenario),
+            )
+        };
         if worker_count <= 1 {
             let kernel = NeighborhoodKernel::new();
             for (i, work) in works.iter().enumerate() {
-                outcomes[i] = Some(cold_solve(work, &config, &cluster_seeds, &kernel));
+                outcomes[i] = Some(solve_one(work, &kernel));
             }
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..worker_count)
                     .map(|w| {
                         let works = &works;
-                        let cluster_seeds = &cluster_seeds;
-                        let config = &config;
+                        let solve_one = &solve_one;
                         scope.spawn(move || {
                             let kernel = NeighborhoodKernel::new();
                             let mut results = Vec::new();
                             let mut i = w;
                             while i < works.len() {
-                                results.push((
-                                    i,
-                                    cold_solve(&works[i], config, cluster_seeds, &kernel),
-                                ));
+                                results.push((i, solve_one(&works[i], &kernel)));
                                 i += worker_count;
                             }
                             results
@@ -793,8 +819,9 @@ impl<'a> ShardRun<'a> {
         // so the union is conflict-free by construction.
         let mut global = Assignment::all_local(scenario);
         let mut proposals = 0u64;
-        for (work, outcome) in works.iter_mut().zip(outcomes) {
-            let outcome = outcome.expect("cluster solved");
+        for (work, solved) in works.iter_mut().zip(outcomes) {
+            let (outcome, screen) = solved.expect("cluster solved");
+            work.screen = screen;
             proposals += outcome.proposals;
             for (ul, sl, j) in outcome.assignment.offloaded() {
                 global
@@ -845,6 +872,7 @@ impl<'a> ShardRun<'a> {
             converged: false,
             certifying: false,
             proposals,
+            scored: proposals,
             last_residual: f64::INFINITY,
             resolved_clusters,
             reused_clusters,
@@ -1012,12 +1040,13 @@ impl<'a> ShardRun<'a> {
             });
         }
 
-        // Solve phase, pinned to workers exactly like the cold path.
-        let mut outcomes: Vec<Option<AnnealOutcome>> = Vec::new();
-        outcomes.resize_with(works.len(), || None);
+        // Solve phase, pinned to workers exactly like the cold path; every
+        // cluster (clean ones too) builds its descent screen on the pool.
+        let mut outcomes: Vec<(Option<AnnealOutcome>, SlotScreen)> = Vec::new();
+        outcomes.resize_with(works.len(), Default::default);
         let worker_count = workers.max(1).min(works.len().max(1));
-        let solve_one = |i: usize, kernel: &NeighborhoodKernel| -> Option<AnnealOutcome> {
-            match refresh[i] {
+        let solve_one = |i: usize, kernel: &NeighborhoodKernel| {
+            let outcome = match refresh[i] {
                 WarmClass::Fresh => Some(cold_solve(&works[i], &config, &cluster_seeds, kernel)),
                 WarmClass::Dirty => Some(warm_refresh(
                     &works[i],
@@ -1027,7 +1056,8 @@ impl<'a> ShardRun<'a> {
                     starts[i].clone().expect("dirty clusters have a start"),
                 )),
                 WarmClass::Clean => None,
-            }
+            };
+            (outcome, SlotScreen::new(&works[i].scenario))
         };
         if worker_count <= 1 {
             let kernel = NeighborhoodKernel::new();
@@ -1066,7 +1096,9 @@ impl<'a> ShardRun<'a> {
         let mut resolved = 0usize;
         let mut reused = 0usize;
         for i in 0..works.len() {
-            let final_local = match outcomes[i].take() {
+            let (outcome, screen) = std::mem::take(&mut outcomes[i]);
+            works[i].screen = screen;
+            let final_local = match outcome {
                 Some(outcome) => {
                     proposals += outcome.proposals;
                     resolved += 1;
@@ -1186,10 +1218,12 @@ impl<'a> ShardRun<'a> {
             let mut inc = IncrementalObjective::new(&work.scenario, local)?;
             let outcome = descent(
                 &mut inc,
+                &mut work.screen,
                 self.config.descent_budget,
                 self.config.descent_floor,
             );
             self.proposals += outcome.spent;
+            self.scored += outcome.scored;
             work.last_obj = inc.current();
             work.settled = !outcome.exhausted;
             if outcome.changed {
@@ -1330,7 +1364,9 @@ impl<'a> ShardRun<'a> {
                 continue;
             }
             self.proposals += work.spent;
+            self.scored += work.scored;
             work.spent = 0;
+            work.scored = 0;
             if work.changed {
                 work.changed = false;
                 epoch_changed = true;
@@ -1420,6 +1456,7 @@ impl<'a> ShardRun<'a> {
             sweeps: self.sweeps,
             converged: self.converged,
             proposals: self.proposals,
+            scored: self.scored,
             halo_residual,
             sweep_residual,
             resolved_clusters: self.resolved_clusters,
@@ -1458,6 +1495,7 @@ impl<'a> ShardRun<'a> {
             sweeps: self.sweeps,
             converged: self.converged,
             proposals: self.proposals,
+            scored: self.scored,
             halo_residual: sweep_residual,
             sweep_residual,
             resolved_clusters: self.resolved_clusters,
@@ -1580,12 +1618,13 @@ fn pipelined_visit(
     install_snapshot(work)?;
     let local = std::mem::replace(&mut work.local, Assignment::with_dims(0, 0, 0));
     let mut inc = IncrementalObjective::new(&work.scenario, local)?;
-    let outcome = descent(&mut inc, budget, floor);
+    let outcome = descent(&mut inc, &mut work.screen, budget, floor);
     work.last_obj = inc.current();
     work.local = inc.into_assignment();
     work.settled = !outcome.exhausted;
     work.changed = outcome.changed;
     work.spent = outcome.spent;
+    work.scored = outcome.scored;
     work.seen.copy_from_slice(&work.ext);
     if outcome.changed {
         own_contribution_into(scenario, &work.users, &work.local, &mut work.contrib_next);
@@ -1627,13 +1666,130 @@ fn local_assignment(work: &ClusterWork, global: &Assignment) -> Result<Assignmen
 /// [`ShardConfig::descent_floor`] for when to raise it.
 pub const DESCENT_IMPROVEMENT_FLOOR: f64 = 1e-12;
 
+/// Relative margin of the [`SlotScreen`] cut-off: a move is pruned only
+/// when its interference-free ceiling misses the acceptance threshold by
+/// more than this fraction of the objective's magnitude. The ceiling, the
+/// occupant's marginal and the scored candidate all carry a few ulps of
+/// rounding (`~1e-16` relative); `1e-9` is seven orders above that, so
+/// rounding can never prune a move that scoring would accept.
+pub const SCREEN_SLACK: f64 = 1e-9;
+
+/// The exact move screen of [`descent`]: one cluster's per-`(user, slot)`
+/// interference-free ceilings ([`Scenario::slot_value`]) plus per-slot
+/// cut-offs derived from the current state.
+///
+/// Relocating a *local* user `u` onto slot `(s, j)` evicts the occupant
+/// `o` (if any) and attaches `u`, so
+/// `ΔJ = add(u | X − o) − marginal(o)` with `marginal(o) = J − J(X − o)`
+/// (0 for a free slot). `add(u | ·) ≤ slot_value(u, s, j)` for every
+/// decision, because interference only lowers SINR and the execution cost
+/// grows by at least `η_u/f_s`. The move therefore cannot clear the
+/// descent's acceptance floor when
+/// `bound(u, s, j) + slack ≤ marginal(o) + floor·max(|J|, 1)`, and the
+/// screen skips its [`IncrementalObjective::score`] call.
+///
+/// The ceilings depend only on the scenario's gains, powers, coefficients
+/// and capacities — not on [`Scenario::external_rx`] — so a screen stays
+/// valid for the life of the cluster subset it was built from, however
+/// often the halo is re-installed. The cut-offs are recomputed lazily
+/// after every accepted move (one release score per occupied slot).
+#[derive(Debug, Clone, Default)]
+pub struct SlotScreen {
+    /// Ceilings per user: one per slot, or one per server when the
+    /// scenario's gains are subchannel-shared (every subchannel of a
+    /// server then has the same ceiling, so storing it once cuts the
+    /// screen's memory `N×` at city scale).
+    row: usize,
+    /// Slot `p = s·N + j` → its column in a user's row of `bounds`.
+    column: Vec<usize>,
+    /// `bounds[u·row + column[p]]`.
+    bounds: Vec<f64>,
+    /// Per-slot cut-off: prune when `bound ≤ cutoff[p]`. A NaN cut-off
+    /// (non-finite objective) prunes nothing.
+    cutoff: Vec<f64>,
+    /// Whether `cutoff` predates the last accepted move.
+    stale: bool,
+}
+
+impl SlotScreen {
+    /// Builds the ceilings for every user and slot of `scenario`:
+    /// `O(U·S·N)` slot values (`O(U·S)` for subchannel-shared gains),
+    /// computed once per cluster subset.
+    pub fn new(scenario: &Scenario) -> Self {
+        let n = scenario.num_subchannels();
+        let slots = scenario.num_servers() * n;
+        let shared = scenario.gains().is_subchannel_shared();
+        let (row, column): (usize, Vec<usize>) = if shared {
+            (scenario.num_servers(), (0..slots).map(|p| p / n).collect())
+        } else {
+            (slots, (0..slots).collect())
+        };
+        let mut bounds = Vec::with_capacity(scenario.num_users() * row);
+        for u in scenario.user_ids() {
+            for s in scenario.server_ids() {
+                if shared {
+                    bounds.push(scenario.slot_value(u, s, SubchannelId::new(0)));
+                } else {
+                    bounds.extend(SubchannelId::all(n).map(|j| scenario.slot_value(u, s, j)));
+                }
+            }
+        }
+        Self {
+            row,
+            column,
+            bounds,
+            cutoff: vec![f64::NAN; slots],
+            stale: true,
+        }
+    }
+
+    /// The interference-free ceiling of user `u` on slot `p = s·N + j`.
+    #[inline]
+    pub fn bound(&self, u: UserId, p: usize) -> f64 {
+        self.bounds[u.index() * self.row + self.column[p]]
+    }
+
+    /// Recomputes every slot's cut-off against `inc`'s current state,
+    /// whose objective is `current`, for acceptance floor `floor`.
+    /// Scores one release move per occupied slot; mutates nothing in
+    /// `inc`.
+    pub fn refresh(&mut self, inc: &mut IncrementalObjective<'_>, current: f64, floor: f64) {
+        let n = inc.scenario().num_subchannels();
+        let scale = current.abs().max(1.0);
+        let margin = floor * scale - SCREEN_SLACK * scale;
+        for (p, cutoff) in self.cutoff.iter_mut().enumerate() {
+            let occupant = inc
+                .assignment()
+                .occupant(ServerId::new(p / n), SubchannelId::new(p % n));
+            let marginal = match occupant {
+                None => 0.0,
+                Some(o) => current - inc.score(&MoveDesc::relocate(inc.assignment(), o, None)),
+            };
+            *cutoff = marginal + margin;
+        }
+        self.stale = false;
+    }
+
+    /// Whether relocating the *local* user `u` onto slot `p` is provably
+    /// not improving under the last [`refresh`](Self::refresh). Never
+    /// true for a NaN bound or cut-off.
+    #[inline]
+    pub fn prunes(&self, u: UserId, p: usize) -> bool {
+        self.bound(u, p) <= self.cutoff[p]
+    }
+}
+
 /// What one [`descent`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Descent {
     /// Whether any move was accepted.
     pub changed: bool,
-    /// Proposals spent.
+    /// Proposals examined, pruned or scored — the budget's unit.
     pub spent: u64,
+    /// Proposals actually priced with [`IncrementalObjective::score`]:
+    /// `spent` minus the moves the [`SlotScreen`] pruned. Observational
+    /// only; no result depends on it.
+    pub scored: u64,
     /// Whether the budget ran out before a full improvement-free pass —
     /// i.e. the state may *not* be a local optimum. The pipelined aging
     /// gate only ever skips clusters that ended unexhausted (`settled`).
@@ -1647,49 +1803,80 @@ pub struct Descent {
 /// than `floor` relative to its magnitude — at the default
 /// [`DESCENT_IMPROVEMENT_FLOOR`] that merely makes the fixed point stable
 /// under floating-point drift; see [`ShardConfig::descent_floor`] for the
-/// limit-cycle damping use. This is the per-cluster proposal loop of
-/// [`ShardRun::sweep`], exposed so the counting-allocator gate in
-/// `tests/shard_alloc_free.rs` can pin it: the loop reuses the
-/// incremental state's buffers only, so at a fixed point it allocates
-/// nothing.
-pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> Descent {
+/// limit-cycle damping use.
+///
+/// Relocations of local users onto a slot are first checked against
+/// `screen` (built from `inc`'s scenario): a move the screen proves
+/// non-improving is skipped without scoring but still counts as an
+/// examined proposal in `spent`. The budget, `exhausted`, every accepted
+/// move and the final state are therefore exactly those of the unscreened
+/// loop; only [`Descent::scored`] drops.
+///
+/// This is the per-cluster proposal loop of [`ShardRun::sweep`], exposed
+/// so the counting-allocator gate in `tests/shard_alloc_free.rs` can pin
+/// it: the loop reuses the incremental state's and the screen's buffers
+/// only, so at a fixed point it allocates nothing.
+pub fn descent(
+    inc: &mut IncrementalObjective<'_>,
+    screen: &mut SlotScreen,
+    budget: u64,
+    floor: f64,
+) -> Descent {
     let scenario = inc.scenario();
     let mut current = inc.current();
     let mut spent: u64 = 0;
+    let mut scored: u64 = 0;
     let mut changed = false;
     let mut exhausted = false;
     let mut improved = true;
     let n = scenario.num_subchannels();
     let total_slots = scenario.num_servers() * n;
     let slot = |p: usize| (ServerId::new(p / n), SubchannelId::new(p % n));
+    debug_assert_eq!(
+        (screen.bounds.len(), screen.cutoff.len()),
+        (scenario.num_users() * screen.row, total_slots),
+        "the screen must be built from the descended scenario"
+    );
+    screen.stale = true;
     'descent: while improved && spent < budget {
         improved = false;
         // Phase 1: every single-user relocation — back to local, or onto
         // any slot, evicting its occupant when taken.
         for u in scenario.user_ids() {
-            let slots = scenario
-                .server_ids()
-                .flat_map(|s| SubchannelId::all(n).map(move |j| Some((s, j))));
-            for target in std::iter::once(None).chain(slots) {
+            for target in std::iter::once(None).chain((0..total_slots).map(Some)) {
                 if spent >= budget {
                     exhausted = true;
                     break 'descent;
                 }
                 let mv = match target {
                     None => MoveDesc::relocate(inc.assignment(), u, None),
-                    Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                    Some(p) => {
+                        if !inc.assignment().is_offloaded(u) {
+                            if screen.stale {
+                                screen.refresh(inc, current, floor);
+                            }
+                            if screen.prunes(u, p) {
+                                spent += 1;
+                                continue;
+                            }
+                        }
+                        let (s, j) = slot(p);
+                        MoveDesc::relocate_evicting(inc.assignment(), u, s, j)
+                    }
                 };
                 if mv.is_noop() {
                     continue;
                 }
                 let candidate = inc.score(&mv);
                 spent += 1;
+                scored += 1;
                 if candidate - current > floor * current.abs().max(1.0) {
                     inc.apply(&mv);
                     inc.commit();
                     current = candidate;
                     improved = true;
                     changed = true;
+                    screen.stale = true;
                 }
             }
         }
@@ -1714,12 +1901,14 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
                 }
                 let candidate = inc.score(&mv);
                 spent += 1;
+                scored += 1;
                 if candidate - current > floor * current.abs().max(1.0) {
                     inc.apply(&mv);
                     inc.commit();
                     current = candidate;
                     improved = true;
                     changed = true;
+                    screen.stale = true;
                 }
             }
         }
@@ -1729,6 +1918,7 @@ pub fn descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> D
     Descent {
         changed,
         spent,
+        scored,
         exhausted: exhausted || (improved && spent >= budget),
     }
 }
@@ -1793,6 +1983,10 @@ pub struct ShardStats {
     pub sweeps: usize,
     /// Whether the run reached a fixed point before the sweep cap.
     pub converged: bool,
+    /// Total proposals (see [`ShardOutcome::proposals`]).
+    pub proposals: u64,
+    /// Proposals actually scored (see [`ShardOutcome::scored`]).
+    pub scored: u64,
     /// Halo-accounting residual (see [`ShardOutcome::halo_residual`]).
     pub halo_residual: f64,
     /// Largest last-sweep exchange delta (see
@@ -1888,6 +2082,8 @@ impl ShardSolver {
             clusters: out.clusters,
             sweeps: out.sweeps,
             converged: out.converged,
+            proposals: out.proposals,
+            scored: out.scored,
             halo_residual: out.halo_residual,
             sweep_residual: out.sweep_residual,
             resolved_clusters: out.resolved_clusters,

@@ -39,7 +39,7 @@
 
 use crate::annealing::{
     apply_cooling, initial_solution, resolve_initial_temperature, resolve_max_count, run_epoch,
-    AnnealOutcome, ChainState, EpochStats,
+    settle_best, AnnealOutcome, ChainState, EpochStats,
 };
 use crate::config::{Cooling, TemperingConfig, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
@@ -495,20 +495,13 @@ fn run<'a, R: Rng + ?Sized>(
         epochs += spent.div_ceil(l);
         if current > best_obj {
             best = inc.into_assignment();
-            best_obj = current;
         }
     }
 
-    // The all-local decision (J = 0) is always feasible; never return a
-    // worse-than-doing-nothing schedule.
-    if best_obj < 0.0 {
-        best = Assignment::all_local(scenario);
-        best_obj = 0.0;
-    }
-
+    let (assignment, objective) = settle_best(scenario, best);
     AnnealOutcome {
-        assignment: best,
-        objective: best_obj,
+        assignment,
+        objective,
         proposals,
         epochs,
         trace,

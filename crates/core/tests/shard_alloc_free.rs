@@ -7,7 +7,9 @@
 //! across the whole metro. This test installs a counting global
 //! allocator, drives the descent to its fixed point (where scratch
 //! buffers have reached steady-state capacity), then asserts that a full
-//! re-scan of the neighborhood at the fixed point allocates nothing.
+//! re-scan of the neighborhood at the fixed point allocates nothing —
+//! on a sparse cluster and on a crowded one where the slot screen
+//! prunes most relocations.
 //!
 //! It must stay the only `#[test]` in this binary: the libtest harness
 //! runs tests on worker threads whose setup allocates, so a sibling test
@@ -18,7 +20,7 @@ use mec_system::{Assignment, IncrementalObjective, Scenario, UserSpec};
 use mec_types::{Cycles, Hertz, ServerProfile, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tsajs::shard::{descent, publish_halo_delta, DESCENT_IMPROVEMENT_FLOOR};
+use tsajs::shard::{descent, publish_halo_delta, SlotScreen, DESCENT_IMPROVEMENT_FLOOR};
 
 /// Pass-through allocator that counts every acquisition path
 /// (fresh allocations, zeroed allocations and reallocations).
@@ -68,16 +70,41 @@ fn cluster_scenario(users: usize, servers: usize, subchannels: usize) -> Scenari
     sc
 }
 
+/// A cluster with many more users than slots and log-spread gains: most
+/// users can never pay for a slot, which is what the descent's screen
+/// prunes.
+fn crowded_scenario(users: usize, servers: usize, subchannels: usize) -> Scenario {
+    let gains = ChannelGains::from_fn(users, servers, subchannels, |u, s, j| {
+        let k = (u.index() * 7 + s.index() * 3 + j.index()) % 17;
+        10.0_f64.powf(-13.0 + 0.25 * k as f64)
+    })
+    .unwrap();
+    let mut sc = Scenario::new(
+        vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); users],
+        vec![ServerProfile::paper_default(); servers],
+        OfdmaConfig::new(Hertz::from_mega(20.0), subchannels).unwrap(),
+        gains,
+        Watts::new(1e-13),
+    )
+    .unwrap();
+    let ext: Vec<f64> = (0..subchannels * servers)
+        .map(|i| 1e-12 * (1.0 + i as f64))
+        .collect();
+    sc.set_external_rx(Some(ext)).unwrap();
+    sc
+}
+
 #[test]
 fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
     let scenario = cluster_scenario(12, 3, 4);
     let initial = Assignment::all_local(&scenario);
     let mut inc = IncrementalObjective::new(&scenario, initial).unwrap();
+    let mut screen = SlotScreen::new(&scenario);
 
     // Warm-up: run the descent to its fixed point. This both reaches the
     // local optimum and lets the incremental state's journaling scratch
     // grow to steady-state capacity.
-    let outcome = descent(&mut inc, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
+    let outcome = descent(&mut inc, &mut screen, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
     assert!(outcome.changed, "the cold start must find improving moves");
     assert!(outcome.spent > 0);
     assert!(!outcome.exhausted, "the budget is ample for this instance");
@@ -87,7 +114,7 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
     // the steady-state shape of a converged reconciliation sweep. It must
     // not touch the heap at all.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let outcome = descent(&mut inc, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
+    let outcome = descent(&mut inc, &mut screen, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert!(!outcome.changed, "fixed point must be stable");
     assert!(
@@ -98,6 +125,37 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
         delta, 0,
         "the per-cluster descent loop heap-allocated {delta} times over {} \
          proposals at the fixed point; it must be allocation-free",
+        outcome.spent
+    );
+
+    // An occupied cluster: far more users than slots and spread-out
+    // gains, so at the fixed point most users are local and the slot
+    // screen prunes their relocations. The screened pass (cut-off
+    // refreshes included) must stay allocation-free as well.
+    let crowded = crowded_scenario(40, 2, 3);
+    let mut inc = IncrementalObjective::new(&crowded, Assignment::all_local(&crowded)).unwrap();
+    let mut screen = SlotScreen::new(&crowded);
+    let outcome = descent(&mut inc, &mut screen, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
+    assert!(outcome.changed && !outcome.exhausted);
+    assert_eq!(
+        inc.assignment().num_offloaded(),
+        crowded.num_servers() * crowded.num_subchannels(),
+        "every slot is taken at the fixed point"
+    );
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let outcome = descent(&mut inc, &mut screen, 1_000_000, DESCENT_IMPROVEMENT_FLOOR);
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert!(!outcome.changed, "fixed point must be stable");
+    let pruned = outcome.spent - outcome.scored;
+    assert!(
+        pruned > 0,
+        "the screen pruned nothing over {} proposals",
+        outcome.spent
+    );
+    assert_eq!(
+        delta, 0,
+        "the screened descent heap-allocated {delta} times over {} proposals \
+         ({pruned} pruned) at the fixed point; it must be allocation-free",
         outcome.spent
     );
 

@@ -46,6 +46,7 @@ use mec_workloads::{ExperimentParams, ScenarioGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tsajs::{
     anneal, anneal_from, resolve_sharded, solve_sharded, temper_from, InitialTemperature,
@@ -508,29 +509,51 @@ impl SchedulerCore {
         let mut arrivals = 0usize;
         let mut departures = 0usize;
         let mut rejected = 0usize;
+        // One id → index map per batch keeps ingestion linear in the
+        // population: arrivals de-duplicate and departures find their user
+        // in O(1). Departed entries are tombstoned and compacted once at
+        // the end, which leaves the survivors (and re-arrivals, appended)
+        // in exactly the order in-place removal would.
+        let mut index_of: HashMap<u64, usize> = self
+            .users
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (u.id, i))
+            .collect();
+        let mut departed = vec![false; self.users.len()];
+        let mut live = self.users.len();
         for request in &batch.requests {
             match request.kind {
                 RequestKind::Arrival { user } => {
-                    if self.users.iter().any(|u| u.id == user) {
+                    if index_of.contains_key(&user) {
                         continue;
                     }
-                    if self.users.len() >= self.config.max_users {
+                    if live >= self.config.max_users {
                         rejected += 1;
                         continue;
                     }
                     let position = place_users_uniform(&self.layout, 1, &mut self.position_rng)
                         .pop()
                         .expect("one position requested");
+                    index_of.insert(user, self.users.len());
                     self.users.push(ServiceUser { id: user, position });
+                    departed.push(false);
+                    live += 1;
                     arrivals += 1;
                 }
                 RequestKind::Departure { user } => {
-                    if let Some(at) = self.users.iter().position(|u| u.id == user) {
-                        self.users.remove(at);
+                    if let Some(at) = index_of.remove(&user) {
+                        departed[at] = true;
+                        live -= 1;
                         departures += 1;
                     }
                 }
             }
+        }
+        if departures > 0 {
+            let mut gone = departed.iter();
+            self.users
+                .retain(|_| !*gone.next().expect("one flag per user"));
         }
 
         let backlog = self.batcher.len();
@@ -581,9 +604,14 @@ impl SchedulerCore {
 
             let patched = match &self.prev {
                 Some((prev_ids, prev_assignment)) => {
+                    let prev_index: HashMap<u64, usize> = prev_ids
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &id)| (id, i))
+                        .collect();
                     let map: Vec<Option<UserId>> = ids
                         .iter()
-                        .map(|id| prev_ids.iter().position(|old| old == id).map(UserId::new))
+                        .map(|id| prev_index.get(id).map(|&i| UserId::new(i)))
                         .collect();
                     Some((prev_assignment.patched(&map)?, map))
                 }

@@ -4,7 +4,8 @@ use crate::coefficients::UserCoefficients;
 use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_types::{
     constants, BitsPerSecond, Cycles, DbMilliwatts, DeviceProfile, Error, LocalCost,
-    ProviderPreference, ServerId, ServerProfile, Task, UserId, UserPreferences, Watts,
+    ProviderPreference, ServerId, ServerProfile, SubchannelId, Task, UserId, UserPreferences,
+    Watts,
 };
 use serde::{Deserialize, Serialize};
 
@@ -376,6 +377,29 @@ impl Scenario {
     #[inline]
     pub fn coefficients(&self, u: UserId) -> &UserCoefficients {
         &self.coefficients[u.index()]
+    }
+
+    /// The interference-free value of user `u` on slot `(s, j)`:
+    /// `λ_u(β_t+β_e) − download_cost − (φ_u + ψ_u p_u)/log₂(1+SNR_us^j) −
+    /// η_u/f_s`. Can be negative (or `−∞` on a zero-gain slot).
+    ///
+    /// It is a sound ceiling on what attaching a local `u` to the free
+    /// slot `(s, j)` can add to `J*(X)` for *any* decision `X`:
+    /// interference (intra-scenario or the [`external_rx`] halo) only
+    /// lowers `u`'s SINR below its SNR and only raises the other
+    /// transmitters' Γ terms, and the execution cost
+    /// `(Σ√η)²/f_s` grows by at least `η_u/f_s`. The baselines'
+    /// matching upper bound and the shard descent's move screen both use
+    /// this one formula.
+    ///
+    /// [`external_rx`]: Self::external_rx
+    pub fn slot_value(&self, u: UserId, s: ServerId, j: SubchannelId) -> f64 {
+        let c = self.coefficients(u);
+        let p = self.tx_powers_watts[u.index()];
+        let snr = p * self.gains.gain(u, s, j) / self.noise.as_watts();
+        let uplink = (c.phi + c.psi * p) / (1.0 + snr).log2();
+        let exec_floor = c.eta / self.server(s).capacity().as_hz();
+        c.gain_constant - c.download_cost - uplink - exec_floor
     }
 
     /// Iterates over all user ids.

@@ -167,3 +167,24 @@ fn solutions_report_operational_metrics() {
         }
     }
 }
+
+/// The reported utility is the returned decision's objective re-scored
+/// from scratch, not the search's incrementally drifted running value:
+/// over 200 paper-default U=90 instances the single-chain solver's
+/// utility equals a fresh [`Evaluator::objective`] within 1e-12
+/// relative.
+#[test]
+fn reported_utility_is_the_rescored_objective() {
+    let params = ExperimentParams::paper_default().with_users(90);
+    let generator = ScenarioGenerator::new(params);
+    for seed in 0..200u64 {
+        let sc = generator.generate(seed).unwrap();
+        let solution = quick_tsajs(seed).solve(&sc).unwrap();
+        let fresh = Evaluator::new(&sc).objective(&solution.assignment);
+        assert!(
+            (solution.utility - fresh).abs() <= 1e-12 * fresh.abs().max(1.0),
+            "seed {seed}: reported {} vs re-scored {fresh}",
+            solution.utility
+        );
+    }
+}

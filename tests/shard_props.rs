@@ -7,9 +7,19 @@
 //! recomputation, and the result is bit-identical at any pool width, then
 //! the decomposition can only differ from the monolith through search
 //! quality — never through physics.
+//!
+//! The descent's [`SlotScreen`] gets two properties of its own: the
+//! screened [`descent`] is bit-identical to the unscreened loop (kept
+//! verbatim below as [`oracle_descent`]), and no relocation of a local
+//! user ever gains more than its interference-free ceiling minus the
+//! evicted occupant's marginal.
 
+use mec_system::{IncrementalObjective, MoveDesc};
 use proptest::prelude::*;
-use tsajs::shard::{cluster_external, halo_totals, solve_sharded, Partition, ShardRun};
+use tsajs::shard::{
+    cluster_external, descent, halo_totals, solve_sharded, Descent, Partition, ShardRun,
+    SlotScreen, DESCENT_IMPROVEMENT_FLOOR, SCREEN_SLACK,
+};
 use tsajs::{ShardConfig, TemperingConfig, TtsaConfig};
 use tsajs_mec::prelude::*;
 
@@ -41,6 +51,149 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         )
         .unwrap()
     })
+}
+
+/// Strategy: a cluster-shaped descent instance — random dense or
+/// subchannel-shared gains (including near-dead links), heterogeneous
+/// workloads, an optional downlink, a random `external_rx` halo (zero
+/// entries allowed), and either an all-local or a dense random start.
+fn arb_descent_case() -> impl Strategy<Value = (Scenario, Assignment)> {
+    (4usize..=14, 1usize..=3, 1usize..=3, 0u64..100_000, 0u32..8).prop_map(
+        |(u, s, n, seed, mode)| {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = || 10.0_f64.powf(rng.gen_range(-16.0..-8.5));
+            let gains = if mode & 4 != 0 {
+                ChannelGains::shared_from_fn(u, s, n, |_, _| draw())
+            } else {
+                ChannelGains::from_fn(u, s, n, |_, _, _| draw())
+            }
+            .unwrap();
+            let users = (0..u)
+                .map(|_| {
+                    UserSpec::paper_default_with_workload(Cycles::from_mega(
+                        rng.gen_range(300.0..5000.0),
+                    ))
+                    .unwrap()
+                })
+                .collect();
+            let mut scenario = Scenario::new(
+                users,
+                vec![ServerProfile::paper_default(); s],
+                OfdmaConfig::new(constants::DEFAULT_BANDWIDTH, n).unwrap(),
+                gains,
+                constants::DEFAULT_NOISE.to_watts(),
+            )
+            .unwrap();
+            if mode & 2 != 0 {
+                scenario = scenario
+                    .with_downlink(mec_types::BitsPerSecond::new(rng.gen_range(5e6..5e7)))
+                    .unwrap();
+            }
+            let external: Vec<f64> = (0..s * n)
+                .map(|_| {
+                    if rng.gen_range(0.0..1.0) < 0.2 {
+                        0.0
+                    } else {
+                        10.0_f64.powf(rng.gen_range(-15.0..-9.0))
+                    }
+                })
+                .collect();
+            scenario.set_external_rx(Some(external)).unwrap();
+            let mut x = Assignment::all_local(&scenario);
+            if mode & 1 != 0 {
+                // Dense random start: most slots taken by random users.
+                for sid in scenario.server_ids() {
+                    for j in SubchannelId::all(n) {
+                        let v = UserId::new(rng.gen_range(0..u));
+                        if rng.gen_range(0.0..1.0) < 0.8 && !x.is_offloaded(v) {
+                            x.assign(v, sid, j).unwrap();
+                        }
+                    }
+                }
+            }
+            (scenario, x)
+        },
+    )
+}
+
+/// The unscreened descent, verbatim as it stood before the [`SlotScreen`]
+/// landed: the bit-identity reference of the screened loop.
+fn oracle_descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -> Descent {
+    let scenario = inc.scenario();
+    let mut current = inc.current();
+    let mut spent: u64 = 0;
+    let mut changed = false;
+    let mut exhausted = false;
+    let mut improved = true;
+    let n = scenario.num_subchannels();
+    let total_slots = scenario.num_servers() * n;
+    let slot = |p: usize| (ServerId::new(p / n), SubchannelId::new(p % n));
+    'descent: while improved && spent < budget {
+        improved = false;
+        for u in scenario.user_ids() {
+            let slots = scenario
+                .server_ids()
+                .flat_map(|s| SubchannelId::all(n).map(move |j| Some((s, j))));
+            for target in std::iter::once(None).chain(slots) {
+                if spent >= budget {
+                    exhausted = true;
+                    break 'descent;
+                }
+                let mv = match target {
+                    None => MoveDesc::relocate(inc.assignment(), u, None),
+                    Some((s, j)) => MoveDesc::relocate_evicting(inc.assignment(), u, s, j),
+                };
+                if mv.is_noop() {
+                    continue;
+                }
+                let candidate = inc.score(&mv);
+                spent += 1;
+                if candidate - current > floor * current.abs().max(1.0) {
+                    inc.apply(&mv);
+                    inc.commit();
+                    current = candidate;
+                    improved = true;
+                    changed = true;
+                }
+            }
+        }
+        for p in 0..total_slots {
+            for q in (p + 1)..total_slots {
+                if spent >= budget {
+                    exhausted = true;
+                    break 'descent;
+                }
+                let (s1, j1) = slot(p);
+                let (s2, j2) = slot(q);
+                let (Some(a), Some(b)) = (
+                    inc.assignment().occupant(s1, j1),
+                    inc.assignment().occupant(s2, j2),
+                ) else {
+                    continue;
+                };
+                let mv = MoveDesc::swap(inc.assignment(), a, b);
+                if mv.is_noop() {
+                    continue;
+                }
+                let candidate = inc.score(&mv);
+                spent += 1;
+                if candidate - current > floor * current.abs().max(1.0) {
+                    inc.apply(&mv);
+                    inc.commit();
+                    current = candidate;
+                    improved = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+    Descent {
+        changed,
+        spent,
+        scored: spent,
+        exhausted: exhausted || (improved && spent >= budget),
+    }
 }
 
 /// A shard configuration small enough for property-sized instances.
@@ -157,6 +310,100 @@ proptest! {
             prop_assert_eq!(base.objective.to_bits(), other.objective.to_bits());
             prop_assert_eq!(base.proposals, other.proposals);
             prop_assert_eq!(base.sweeps, other.sweeps);
+        }
+    }
+
+    /// The screened descent makes exactly the unscreened loop's
+    /// decisions: same final assignment, same objective bits, same
+    /// `spent`/`changed`/`exhausted` — under the default and a raised
+    /// floor, with budgets that cut passes short as well as ample ones.
+    /// The screen only ever lowers `scored`.
+    #[test]
+    fn screened_descent_is_bit_identical_to_the_unscreened_loop(
+        case in arb_descent_case(),
+        raised_floor in 0u32..2,
+        budget in 1u64..4000,
+        ample in 0u32..2,
+    ) {
+        let (scenario, start) = case;
+        let floor = if raised_floor == 1 { 1e-6 } else { DESCENT_IMPROVEMENT_FLOOR };
+        let budget = if ample == 1 { 1_000_000 } else { budget };
+        let mut oracle = IncrementalObjective::new(&scenario, start.clone()).unwrap();
+        let expected = oracle_descent(&mut oracle, budget, floor);
+        let mut screen = SlotScreen::new(&scenario);
+        let mut inc = IncrementalObjective::new(&scenario, start).unwrap();
+        let got = descent(&mut inc, &mut screen, budget, floor);
+        prop_assert_eq!(inc.assignment(), oracle.assignment());
+        prop_assert_eq!(inc.current().to_bits(), oracle.current().to_bits());
+        prop_assert_eq!(got.spent, expected.spent);
+        prop_assert_eq!(got.changed, expected.changed);
+        prop_assert_eq!(got.exhausted, expected.exhausted);
+        prop_assert!(got.scored <= got.spent);
+        // A second call from the fixed point (or the budget's cut) stays
+        // in lockstep too.
+        let expected = oracle_descent(&mut oracle, budget, floor);
+        let got = descent(&mut inc, &mut screen, budget, floor);
+        prop_assert_eq!(inc.assignment(), oracle.assignment());
+        prop_assert_eq!(inc.current().to_bits(), oracle.current().to_bits());
+        prop_assert_eq!((got.spent, got.changed, got.exhausted),
+            (expected.spent, expected.changed, expected.exhausted));
+    }
+
+    /// The screen's soundness, checked move by move: for every local user
+    /// and every slot, the scored gain of the evicting relocation stays
+    /// below the interference-free ceiling minus the occupant's marginal
+    /// (within rounding), and every move the screen prunes would have
+    /// been rejected by the descent's acceptance test.
+    #[test]
+    fn pruned_moves_never_beat_the_bound_minus_the_marginal(
+        case in arb_descent_case(),
+        raised_floor in 0u32..2,
+        warm_steps in 0u64..60,
+    ) {
+        let (scenario, start) = case;
+        let floor = if raised_floor == 1 { 1e-6 } else { DESCENT_IMPROVEMENT_FLOOR };
+        let mut screen = SlotScreen::new(&scenario);
+        let mut inc = IncrementalObjective::new(&scenario, start).unwrap();
+        // Walk part of the way to a local optimum so the audit sees
+        // intermediate, fixed-point and raw random states alike.
+        if warm_steps > 0 {
+            descent(&mut inc, &mut screen, warm_steps * 10, floor);
+        }
+        let current = inc.current();
+        if !current.is_finite() {
+            // A dead link offloaded by a random start: the descent never
+            // accepts anything at J = −∞ and the screen prunes nothing,
+            // so there is no bound to audit.
+            continue;
+        }
+        screen.refresh(&mut inc, current, floor);
+        let n = scenario.num_subchannels();
+        let scale = current.abs().max(1.0);
+        for u in scenario.user_ids() {
+            if inc.assignment().is_offloaded(u) {
+                continue;
+            }
+            for p in 0..scenario.num_servers() * n {
+                let (s, j) = (ServerId::new(p / n), SubchannelId::new(p % n));
+                let marginal = match inc.assignment().occupant(s, j) {
+                    None => 0.0,
+                    Some(o) => current - inc.score(&MoveDesc::relocate(inc.assignment(), o, None)),
+                };
+                let mv = MoveDesc::relocate_evicting(inc.assignment(), u, s, j);
+                let delta = inc.score(&mv) - current;
+                let bound = screen.bound(u, p);
+                prop_assert!(
+                    delta <= bound - marginal + 1e-12 * scale,
+                    "u{} slot {}: delta {} above bound {} - marginal {}",
+                    u.index(), p, delta, bound, marginal
+                );
+                if screen.prunes(u, p) {
+                    prop_assert!(
+                        delta <= floor * scale - 0.5 * SCREEN_SLACK * scale,
+                        "u{} slot {}: pruned move gains {}", u.index(), p, delta
+                    );
+                }
+            }
         }
     }
 }
