@@ -38,8 +38,10 @@
 //!
 //!    Both run the same [`descent`], screened by each cluster's
 //!    [`SlotScreen`]: a local user's relocation that its
-//!    interference-free ceiling proves non-improving is counted but not
-//!    scored, so every decision matches the unscreened loop.
+//!    interference-free ceiling — or, failing that, its ceiling against
+//!    the live interference and server load — proves non-improving is
+//!    counted but not scored, so every decision matches the unscreened
+//!    loop.
 //! 4. **Convergence** — sequential runs converge when a full sweep changes
 //!    no cluster's schedule. Pipelined runs additionally require a
 //!    **certification epoch**: once an epoch with skips changes nothing,
@@ -1686,7 +1688,11 @@ pub const SCREEN_SLACK: f64 = 1e-9;
 /// grows by at least `η_u/f_s`. The move therefore cannot clear the
 /// descent's acceptance floor when
 /// `bound(u, s, j) + slack ≤ marginal(o) + floor·max(|J|, 1)`, and the
-/// screen skips its [`IncrementalObjective::score`] call.
+/// screen skips its [`IncrementalObjective::score`] call. Where this
+/// static bound is too loose, the descent tries the tighter
+/// [`IncrementalObjective::entry_ceiling`] — the same ceiling priced
+/// against the slot's live interference and the server's live load —
+/// against the same [`cutoff`](Self::cutoff).
 ///
 /// The ceilings depend only on the scenario's gains, powers, coefficients
 /// and capacities — not on [`Scenario::external_rx`] — so a screen stays
@@ -1707,8 +1713,24 @@ pub struct SlotScreen {
     /// Per-slot cut-off: prune when `bound ≤ cutoff[p]`. A NaN cut-off
     /// (non-finite objective) prunes nothing.
     cutoff: Vec<f64>,
+    /// Each user's largest ceiling over its row (NaN if any is NaN).
+    best: Vec<f64>,
+    /// The smallest cut-off (NaN if any is NaN): a user whose `best`
+    /// does not exceed it is pruned on every slot.
+    lowest: f64,
     /// Whether `cutoff` predates the last accepted move.
     stale: bool,
+}
+
+/// One step of a max (`beats = >`) or min (`beats = <`) fold in which a
+/// NaN wins and then sticks: a row-wide fold is NaN whenever any entry
+/// is, so a NaN never lets the one-compare row test prune.
+fn nan_sticky(acc: f64, x: f64, beats: fn(f64, f64) -> bool) -> f64 {
+    if acc.is_nan() || x.is_nan() || beats(x, acc) {
+        x
+    } else {
+        acc
+    }
 }
 
 impl SlotScreen {
@@ -1734,11 +1756,20 @@ impl SlotScreen {
                 }
             }
         }
+        let best = (0..scenario.num_users())
+            .map(|u| {
+                bounds[u * row..][..row]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &b| nan_sticky(m, b, |x, m| x > m))
+            })
+            .collect();
         Self {
             row,
             column,
             bounds,
             cutoff: vec![f64::NAN; slots],
+            best,
+            lowest: f64::NAN,
             stale: true,
         }
     }
@@ -1767,6 +1798,10 @@ impl SlotScreen {
             };
             *cutoff = marginal + margin;
         }
+        self.lowest = self
+            .cutoff
+            .iter()
+            .fold(f64::INFINITY, |m, &c| nan_sticky(m, c, |x, m| x < m));
         self.stale = false;
     }
 
@@ -1776,6 +1811,23 @@ impl SlotScreen {
     #[inline]
     pub fn prunes(&self, u: UserId, p: usize) -> bool {
         self.bound(u, p) <= self.cutoff[p]
+    }
+
+    /// Whether [`prunes`](Self::prunes) holds for the local user `u` on
+    /// every slot — one compare of its best ceiling against the lowest
+    /// cut-off.
+    #[inline]
+    fn prunes_row(&self, u: UserId) -> bool {
+        self.best[u.index()] <= self.lowest
+    }
+
+    /// Slot `p`'s cut-off under the last [`refresh`](Self::refresh): a
+    /// local user's relocation onto `p` whose ceiling — static or
+    /// [`IncrementalObjective::entry_ceiling`] — is at most this cannot
+    /// be accepted.
+    #[inline]
+    pub fn cutoff(&self, p: usize) -> f64 {
+        self.cutoff[p]
     }
 }
 
@@ -1806,11 +1858,13 @@ pub struct Descent {
 /// limit-cycle damping use.
 ///
 /// Relocations of local users onto a slot are first checked against
-/// `screen` (built from `inc`'s scenario): a move the screen proves
-/// non-improving is skipped without scoring but still counts as an
-/// examined proposal in `spent`. The budget, `exhausted`, every accepted
-/// move and the final state are therefore exactly those of the unscreened
-/// loop; only [`Descent::scored`] drops.
+/// `screen` (built from `inc`'s scenario) — the static interference-free
+/// ceiling, walked in bulk, then the state-aware
+/// [`IncrementalObjective::entry_ceiling`] against the same cut-off. A
+/// move either ceiling proves non-improving is skipped without scoring
+/// but still counts as an examined proposal in `spent`. The budget,
+/// `exhausted`, every accepted move and the final state are therefore
+/// exactly those of the unscreened loop; only [`Descent::scored`] drops.
 ///
 /// This is the per-cluster proposal loop of [`ShardRun::sweep`], exposed
 /// so the counting-allocator gate in `tests/shard_alloc_free.rs` can pin
@@ -1843,27 +1897,54 @@ pub fn descent(
         // Phase 1: every single-user relocation — back to local, or onto
         // any slot, evicting its occupant when taken.
         for u in scenario.user_ids() {
-            for target in std::iter::once(None).chain((0..total_slots).map(Some)) {
+            // Targets in order: `None` (back to local), then slot `p - 1`
+            // for `p = 1..=total_slots`.
+            let mut local = !inc.assignment().is_offloaded(u);
+            let mut p = 0;
+            while p <= total_slots {
                 if spent >= budget {
                     exhausted = true;
                     break 'descent;
                 }
-                let mv = match target {
-                    None => MoveDesc::relocate(inc.assignment(), u, None),
-                    Some(p) => {
-                        if !inc.assignment().is_offloaded(u) {
-                            if screen.stale {
-                                screen.refresh(inc, current, floor);
-                            }
-                            if screen.prunes(u, p) {
-                                spent += 1;
-                                continue;
-                            }
-                        }
-                        let (s, j) = slot(p);
+                if p > 0 && local {
+                    if screen.stale {
+                        screen.refresh(inc, current, floor);
+                    }
+                    // Bulk-skip the run of statically pruned slots — the
+                    // whole row at once when even its best ceiling is
+                    // pruned — capped so a budget cut lands on the same
+                    // proposal as a one-by-one walk.
+                    let run_end = (p as u64)
+                        .saturating_add(budget - spent)
+                        .min(total_slots as u64 + 1) as usize;
+                    let start = p;
+                    if p == 1 && screen.prunes_row(u) {
+                        p = run_end;
+                    }
+                    while p < run_end && screen.prunes(u, p - 1) {
+                        p += 1;
+                    }
+                    spent += (p - start) as u64;
+                    if p == run_end {
+                        // Either the row is done, or `spent == budget`
+                        // and the loop head stops the descent here.
+                        continue;
+                    }
+                    let (s, j) = slot(p - 1);
+                    if inc.entry_ceiling(u, s, j) <= screen.cutoff(p - 1) {
+                        spent += 1;
+                        p += 1;
+                        continue;
+                    }
+                }
+                let mv = match p {
+                    0 => MoveDesc::relocate(inc.assignment(), u, None),
+                    _ => {
+                        let (s, j) = slot(p - 1);
                         MoveDesc::relocate_evicting(inc.assignment(), u, s, j)
                     }
                 };
+                p += 1;
                 if mv.is_noop() {
                     continue;
                 }
@@ -1877,6 +1958,7 @@ pub fn descent(
                     improved = true;
                     changed = true;
                     screen.stale = true;
+                    local = !inc.assignment().is_offloaded(u);
                 }
             }
         }

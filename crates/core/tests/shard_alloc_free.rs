@@ -9,7 +9,8 @@
 //! buffers have reached steady-state capacity), then asserts that a full
 //! re-scan of the neighborhood at the fixed point allocates nothing —
 //! on a sparse cluster and on a crowded one where the slot screen
-//! prunes most relocations.
+//! prunes most relocations, some of them only through the state-aware
+//! ceiling.
 //!
 //! It must stay the only `#[test]` in this binary: the libtest harness
 //! runs tests on worker threads whose setup allocates, so a sibling test
@@ -17,7 +18,7 @@
 
 use mec_radio::{ChannelGains, OfdmaConfig};
 use mec_system::{Assignment, IncrementalObjective, Scenario, UserSpec};
-use mec_types::{Cycles, Hertz, ServerProfile, Watts};
+use mec_types::{Cycles, Hertz, ServerId, ServerProfile, SubchannelId, Watts};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsajs::shard::{descent, publish_halo_delta, SlotScreen, DESCENT_IMPROVEMENT_FLOOR};
@@ -157,6 +158,27 @@ fn the_descent_loop_performs_zero_heap_allocations_at_fixed_point() {
         "the screened descent heap-allocated {delta} times over {} proposals \
          ({pruned} pruned) at the fixed point; it must be allocation-free",
         outcome.spent
+    );
+    // Some of those prunes need the state-aware ceiling: the static one
+    // lets the move through, the live interference and load do not.
+    let current = inc.current();
+    screen.refresh(&mut inc, current, DESCENT_IMPROVEMENT_FLOOR);
+    let n = crowded.num_subchannels();
+    let mut live_only = 0;
+    for u in crowded.user_ids() {
+        if inc.assignment().is_offloaded(u) {
+            continue;
+        }
+        for p in 0..crowded.num_servers() * n {
+            let (s, j) = (ServerId::new(p / n), SubchannelId::new(p % n));
+            if !screen.prunes(u, p) && inc.entry_ceiling(u, s, j) <= screen.cutoff(p) {
+                live_only += 1;
+            }
+        }
+    }
+    assert!(
+        live_only > 0,
+        "no relocation at the fixed point needs the state-aware ceiling"
     );
 
     // The warm path's steady-state pair: patching the previous decision

@@ -27,8 +27,10 @@
 //!    per-batch shadowing seed and *patch* the previous assignment onto
 //!    the new population ([`Assignment::patched`]),
 //! 4. re-solve at the tier's budget — warm tempered ladder, reduced warm
-//!    anneal, greedy admission with no solve at all, or (when a
-//!    full-quality batch covers a city-scale population) the sharded
+//!    anneal (both restart from all-local when the patched decision
+//!    scores below zero under the new shadowing), greedy admission with
+//!    no solve at all, or (when a full-quality batch covers a city-scale
+//!    population) the sharded
 //!    engine: a cold [`tsajs::solve_sharded`] on the first city-scale
 //!    batch, then warm [`tsajs::resolve_sharded`] patches of the prior
 //!    sharded decision on consecutive ones,
@@ -39,7 +41,7 @@ use crate::batch::{Batch, BatchPolicy, MicroBatcher, RequestKind, ServiceRequest
 use crate::metrics::ServiceMetrics;
 use crate::snapshot::SnapshotCell;
 use crate::tier::{Tier, TierController, TierPolicy, TierTransition};
-use mec_system::{Assignment, Evaluator};
+use mec_system::{Assignment, Evaluator, Scenario};
 use mec_topology::{place_users_uniform, NetworkLayout, Point2};
 use mec_types::{effective_parallelism, Error, Seconds, UserId};
 use mec_workloads::{ExperimentParams, ScenarioGenerator};
@@ -290,7 +292,9 @@ pub struct BatchReport {
     pub reassignments: usize,
     /// Neighborhood proposals spent re-solving.
     pub proposals: u64,
-    /// Whether the solve warm-started from a patched decision.
+    /// Whether the solve was a warm refresh against the previous
+    /// decision (whose patched form it starts from, or all-local when
+    /// that scores below zero).
     pub warm_started: bool,
     /// Fraction of the population meeting the SLA deadline.
     pub deadline_hit_rate: f64,
@@ -650,7 +654,7 @@ impl SchedulerCore {
                         &self.kernel,
                         &mut self.chain_rng,
                         effective_parallelism(self.config.threads),
-                        warm.clone(),
+                        refresh_start(&scenario, warm),
                     );
                     (outcome.assignment, outcome.proposals, true)
                 }
@@ -660,7 +664,7 @@ impl SchedulerCore {
                         &self.config.refresh(self.config.short_budget),
                         &self.kernel,
                         &mut self.chain_rng,
-                        warm.clone(),
+                        refresh_start(&scenario, warm),
                     );
                     (outcome.assignment, outcome.proposals, true)
                 }
@@ -781,6 +785,21 @@ impl SchedulerCore {
     }
 }
 
+/// The start of a [`Tier::Full`] or [`Tier::Shortened`] warm refresh:
+/// the patched previous decision, or all-local when that scores below
+/// zero against the batch's freshly drawn shadowing. A short refresh
+/// cannot lift a losing start out of the red, and the solvers' result
+/// falls back to all-local (`J = 0`) whenever it ends below zero — so a
+/// losing patched start would publish an empty decision and hand it to
+/// the next batch as its warm start.
+fn refresh_start(scenario: &Scenario, patched: &Assignment) -> Assignment {
+    if Evaluator::new(scenario).objective(patched) >= 0.0 {
+        patched.clone()
+    } else {
+        Assignment::all_local(scenario)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,6 +850,35 @@ mod tests {
         assert_eq!(report.departures, 1);
         assert_eq!(report.arrivals, 1);
         assert_eq!(core.snapshot().users, vec![0, 2, 3, 9]);
+    }
+
+    #[test]
+    fn warm_refreshes_never_publish_an_all_local_decision() {
+        // Shadowing is redrawn every batch, so the survivors' patched
+        // slots often score below zero under the new draw. Refreshing
+        // from such a start ended below zero too and fell back to an
+        // all-local (J = 0) snapshot on 3 of these 10 batches.
+        let mut cfg = ServiceConfig::quick(11);
+        cfg.batch = BatchPolicy {
+            max_size: 64,
+            max_age: Seconds::new(0.05),
+        };
+        let mut core = SchedulerCore::new(cfg).unwrap();
+        drive_arrivals(&mut core, 0..40, 0.0);
+        core.flush(0.05).unwrap();
+        for b in 0..10 {
+            let t = 0.1 * (b + 1) as f64;
+            core.submit(ServiceRequest::departure(b, t));
+            core.submit(ServiceRequest::arrival(1000 + b, t));
+            let report = core.close_batch(t + 0.01).unwrap().unwrap();
+            assert_eq!(report.tier, "full");
+            assert!(report.warm_started);
+            assert!(
+                report.num_offloaded > 0 && report.utility > 0.0,
+                "batch {} published an all-local decision",
+                report.batch
+            );
+        }
     }
 
     #[test]

@@ -1141,6 +1141,65 @@ impl IncrementalObjective<'_> {
             gain_sum - gamma_sum - lambda_sum
         }
     }
+
+    /// A sound ceiling on what attaching the *local* user `user` to slot
+    /// `(s, j)` adds to `J*(X − o)`, where `o` is the slot's current
+    /// occupant (if any) — i.e. on `add(user | X − o)`, so relocating
+    /// `user` there with eviction changes the objective by at most
+    /// `entry_ceiling − marginal(o)`:
+    ///
+    /// `gain_u − γ_u/log₂(1 + w_us/(I⁻ + σ²)) − ((R⁻ + √η_u)² − R⁻²)/f_s`
+    ///
+    /// with `w_us = p_u·h[u][s][j]`, `I⁻` a lower bound on the
+    /// interference `user` would meet (the live totals of `(s, j)`, halo
+    /// included, minus the occupant's signal — every other co-channel
+    /// transmitter stays) and `R⁻` a lower bound on the server's
+    /// `Σ√η` once `o` has left. The only term it leaves out is the harm
+    /// `user`'s transmission does to the other users on `j`, which is
+    /// `≥ 0`. `I⁻` and `R⁻` sit a few ulps below the values
+    /// [`score`](Self::score) computes, because its totals row subtracts
+    /// the occupant's signal, adds `user`'s and only then subtracts it
+    /// again — a cancellation that at high SNR loses up to an ulp of
+    /// `w_us`. The ceiling never exceeds [`Scenario::slot_value`], which
+    /// is its interference-free, load-free special case.
+    ///
+    /// `O(1)`; commits any pending move first, exactly as `score` would.
+    pub fn entry_ceiling(&mut self, user: UserId, s: ServerId, j: SubchannelId) -> f64 {
+        self.commit();
+        debug_assert!(
+            !self.x.is_offloaded(user),
+            "the entry ceiling prices local users only"
+        );
+        const ALLOWANCE: f64 = 4.0 * f64::EPSILON;
+        let (u, si) = (user.index(), s.index());
+        let signal = self.wgain_row(u, j.index())[si];
+        let total = self.totals[j.index() * self.stride + si];
+        let sum = self.sum_sqrt_eta[si];
+        // The occupant's signal and `√η`, and the server's `Σ√η` after it
+        // leaves — pinned to zero on emptying, as `score` does.
+        let (w_o, q_o, left) = match self.x.occupant(s, j) {
+            None => (0.0, 0.0, sum),
+            Some(o) => {
+                let q_o = self.coeffs.sqrt_eta[o.index()];
+                let left = if self.users_on[si] == 1 {
+                    0.0
+                } else {
+                    sum - q_o
+                };
+                (self.signal_of[o.index()], q_o, left)
+            }
+        };
+        let interference = (total - w_o - ALLOWANCE * (total.abs() + w_o + signal)).max(0.0);
+        let load = (left - ALLOWANCE * (sum + q_o)).max(0.0);
+        let q = self.coeffs.sqrt_eta[u];
+        let uplink = gamma_term_from_sinr(
+            self.coeffs.gamma_num[u],
+            sinr_under(signal, interference, self.noise),
+        );
+        let execution = lambda_term_from(load + q, self.capacity[si])
+            - lambda_term_from(load, self.capacity[si]);
+        self.coeffs.gain_const[u] - uplink - execution
+    }
 }
 
 /// One overlaid per-user slot write of a speculative score:
@@ -1169,7 +1228,12 @@ fn gamma_term_from(gamma_num: f64, signal: f64, total: f64, noise: f64) -> f64 {
 /// over a subchannel's occupants pipeline without spilling around libm.
 #[inline]
 fn sinr_from(signal: f64, total: f64, noise: f64) -> f64 {
-    let interference = (total - signal).max(0.0);
+    sinr_under(signal, (total - signal).max(0.0), noise)
+}
+
+/// The SINR of `signal` against `interference` plus the noise floor.
+#[inline]
+fn sinr_under(signal: f64, interference: f64, noise: f64) -> f64 {
     signal / (interference + noise)
 }
 

@@ -8,11 +8,12 @@
 //! the decomposition can only differ from the monolith through search
 //! quality — never through physics.
 //!
-//! The descent's [`SlotScreen`] gets two properties of its own: the
-//! screened [`descent`] is bit-identical to the unscreened loop (kept
-//! verbatim below as [`oracle_descent`]), and no relocation of a local
-//! user ever gains more than its interference-free ceiling minus the
-//! evicted occupant's marginal.
+//! The descent's screen gets three properties of its own: the screened
+//! [`descent`] is bit-identical to the unscreened loop (kept verbatim
+//! below as [`oracle_descent`]), and no relocation of a local user ever
+//! gains more than its ceiling minus the evicted occupant's marginal —
+//! for the [`SlotScreen`]'s interference-free ceiling and for the
+//! state-aware [`IncrementalObjective::entry_ceiling`] alike.
 
 use mec_system::{IncrementalObjective, MoveDesc};
 use proptest::prelude::*;
@@ -58,11 +59,25 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 /// workloads, an optional downlink, a random `external_rx` halo (zero
 /// entries allowed), and either an all-local or a dense random start.
 fn arb_descent_case() -> impl Strategy<Value = (Scenario, Assignment)> {
+    arb_descent_case_with(-16.0..-8.5)
+}
+
+/// [`arb_descent_case`] at extreme SNR: gains up to `1e-6` put received
+/// signals some seven orders above the noise floor, where the
+/// `totals − signal` interference of a slot cancels worst.
+fn arb_extreme_snr_case() -> impl Strategy<Value = (Scenario, Assignment)> {
+    arb_descent_case_with(-11.0..-6.0)
+}
+
+/// [`arb_descent_case`] with log10 channel gains drawn from `log_gain`.
+fn arb_descent_case_with(
+    log_gain: std::ops::Range<f64>,
+) -> impl Strategy<Value = (Scenario, Assignment)> {
     (4usize..=14, 1usize..=3, 1usize..=3, 0u64..100_000, 0u32..8).prop_map(
-        |(u, s, n, seed, mode)| {
+        move |(u, s, n, seed, mode)| {
             use rand::{rngs::StdRng, Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut draw = || 10.0_f64.powf(rng.gen_range(-16.0..-8.5));
+            let mut draw = || 10.0_f64.powf(rng.gen_range(log_gain.clone()));
             let gains = if mode & 4 != 0 {
                 ChannelGains::shared_from_fn(u, s, n, |_, _| draw())
             } else {
@@ -193,6 +208,77 @@ fn oracle_descent(inc: &mut IncrementalObjective<'_>, budget: u64, floor: f64) -
         spent,
         scored: spent,
         exhausted: exhausted || (improved && spent >= budget),
+    }
+}
+
+/// Audits [`IncrementalObjective::entry_ceiling`] move by move on one
+/// state: walked `walk·10` proposals towards a local optimum (`0` = the
+/// raw start, `u64::MAX` = all the way to the fixed point). For every
+/// local user and every slot, the scored gain of the evicting relocation
+/// stays below the ceiling minus the occupant's marginal (within
+/// rounding of the compared values), the ceiling stays below the static
+/// one, and every move the ceiling prunes would have been rejected by
+/// the descent.
+fn audit_entry_ceiling(scenario: &Scenario, start: Assignment, floor: f64, walk: u64) {
+    let mut screen = SlotScreen::new(scenario);
+    let mut inc = IncrementalObjective::new(scenario, start).unwrap();
+    if walk > 0 {
+        descent(&mut inc, &mut screen, walk.saturating_mul(10), floor);
+    }
+    // Audit the state, not the walk's drift: accepted moves leave ulps
+    // of their largest transient Γ terms in the running sums, and a
+    // marginal whose release empties the decision is priced against
+    // `score`'s exact all-local zero.
+    inc.resync();
+    let current = inc.current();
+    if !current.is_finite() {
+        // A dead link offloaded by a random start: nothing is accepted
+        // at J = −∞ and every cut-off is NaN, so nothing is pruned.
+        return;
+    }
+    screen.refresh(&mut inc, current, floor);
+    let n = scenario.num_subchannels();
+    let scale = current.abs().max(1.0);
+    for u in scenario.user_ids() {
+        if inc.assignment().is_offloaded(u) {
+            continue;
+        }
+        for p in 0..scenario.num_servers() * n {
+            let (s, j) = (ServerId::new(p / n), SubchannelId::new(p % n));
+            let marginal = match inc.assignment().occupant(s, j) {
+                None => 0.0,
+                Some(o) => current - inc.score(&MoveDesc::relocate(inc.assignment(), o, None)),
+            };
+            let ceiling = inc.entry_ceiling(u, s, j);
+            let delta =
+                inc.score(&MoveDesc::relocate_evicting(inc.assignment(), u, s, j)) - current;
+            // Rounding is relative to the largest finite quantity
+            // compared: near-dead links price Γ terms far above `|J|`.
+            let magnitude = [delta, ceiling, marginal]
+                .into_iter()
+                .filter(|x| x.is_finite())
+                .fold(scale, |m, x| m.max(x.abs()));
+            assert!(
+                delta <= ceiling - marginal + 1e-12 * magnitude,
+                "u{} slot {p}: delta {delta} above ceiling {ceiling} - marginal {marginal}",
+                u.index()
+            );
+            let bound = screen.bound(u, p);
+            assert!(
+                ceiling <= bound
+                    || ceiling <= bound + 1e-12 * bound.abs().max(1.0)
+                    || bound.is_nan(),
+                "u{} slot {p}: live ceiling {ceiling} above the static {bound}",
+                u.index()
+            );
+            if ceiling <= screen.cutoff(p) {
+                assert!(
+                    delta <= floor * scale - 0.5 * SCREEN_SLACK * scale,
+                    "u{} slot {p}: move pruned by the live ceiling gains {delta}",
+                    u.index()
+                );
+            }
+        }
     }
 }
 
@@ -404,6 +490,24 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The state-aware ceiling is sound on every local relocation, at
+    /// ordinary and at extreme SNR, on raw, part-walked and fixed-point
+    /// states.
+    #[test]
+    fn entry_ceiling_bounds_every_local_relocation(
+        case in arb_descent_case(),
+        extreme in arb_extreme_snr_case(),
+        raised_floor in 0u32..2,
+        walk in 0u64..64,
+    ) {
+        let floor = if raised_floor == 1 { 1e-6 } else { DESCENT_IMPROVEMENT_FLOOR };
+        // The top of the range walks all the way to the fixed point.
+        let walk = if walk == 63 { u64::MAX } else { walk };
+        for (scenario, start) in [case, extreme] {
+            audit_entry_ceiling(&scenario, start, floor, walk);
         }
     }
 }
