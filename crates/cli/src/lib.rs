@@ -791,30 +791,10 @@ pub fn build_solver(
     threads: Option<usize>,
     batch: Option<usize>,
 ) -> Result<Box<dyn Solver>, CliError> {
+    if let Some(solver) = tsajs_solver(name, seed, threads, batch) {
+        return Ok(Box::new(solver));
+    }
     Ok(match name.to_ascii_lowercase().as_str() {
-        "tsajs" => {
-            let mut config = TtsaConfig::paper_default().with_seed(seed);
-            if let Some(k) = batch {
-                config = config.with_batch_width(k);
-            }
-            let mut solver = TsajsSolver::new(config);
-            if let Some(n) = threads {
-                solver = solver.with_threads(n);
-            }
-            Box::new(solver)
-        }
-        "tempering" | "tsajs-pt" => {
-            let mut config = TtsaConfig::paper_default().with_seed(seed);
-            if let Some(k) = batch {
-                config = config.with_batch_width(k);
-            }
-            let mut solver =
-                TsajsSolver::new(config).with_tempering(TemperingConfig::paper_default());
-            if let Some(n) = threads {
-                solver = solver.with_threads(n);
-            }
-            Box::new(solver)
-        }
         "shard" | "tsajs-shard" => Box::new(shard_solver(seed, threads, batch)?),
         "hjtora" => Box::new(HJtoraSolver::new()),
         "greedy" => Box::new(GreedySolver::new()),
@@ -830,6 +810,34 @@ pub fn build_solver(
         "alllocal" | "all-local" => Box::new(AllLocalSolver::new()),
         other => return Err(CliError::Usage(format!("unknown solver `{other}`"))),
     })
+}
+
+/// The `tsajs` and `tempering` entries of [`build_solver`], typed so
+/// `solve` can read [`TsajsSolver::last_scored`]; `None` for any other
+/// name.
+fn tsajs_solver(
+    name: &str,
+    seed: u64,
+    threads: Option<usize>,
+    batch: Option<usize>,
+) -> Option<TsajsSolver> {
+    let tempering = match name.to_ascii_lowercase().as_str() {
+        "tsajs" => false,
+        "tempering" | "tsajs-pt" => true,
+        _ => return None,
+    };
+    let mut config = TtsaConfig::paper_default().with_seed(seed);
+    if let Some(k) = batch {
+        config = config.with_batch_width(k);
+    }
+    let mut solver = TsajsSolver::new(config);
+    if tempering {
+        solver = solver.with_tempering(TemperingConfig::paper_default());
+    }
+    if let Some(n) = threads {
+        solver = solver.with_threads(n);
+    }
+    Some(solver)
 }
 
 /// Whether `name` selects the sharded city-scale solver.
@@ -984,11 +992,18 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
             if let Some(repeats) = warm_resolves {
                 return run_warm_resolves(&scenario, seed, threads, repeats, out);
             }
-            let (solver, solution, shard_stats) = if is_shard_solver(&solver) {
+            // `(proposals, scored)` of the solvers that screen proposals.
+            let (solver, solution, screen) = if is_shard_solver(&solver) {
                 let mut shard = shard_solver(seed, threads, batch)?;
                 let solution = shard.solve(&scenario)?;
-                let stats = shard.last_stats();
-                (Box::new(shard) as Box<dyn Solver>, solution, stats)
+                let screen = shard.last_stats().map(|s| (s.proposals, s.scored));
+                (Box::new(shard) as Box<dyn Solver>, solution, screen)
+            } else if let Some(mut tsajs) = tsajs_solver(&solver, seed, threads, batch) {
+                let solution = tsajs.solve(&scenario)?;
+                let screen = tsajs
+                    .last_scored()
+                    .map(|scored| (solution.stats.iterations, scored));
+                (Box::new(tsajs) as Box<dyn Solver>, solution, screen)
             } else {
                 let mut solver = build_solver(&solver, seed, threads, batch)?;
                 let solution = solver.solve(&scenario)?;
@@ -1019,14 +1034,13 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), CliErro
                 solution.stats.objective_evaluations,
                 solution.stats.elapsed.as_secs_f64() * 1e3
             )?;
-            if let Some(stats) = shard_stats {
-                let pruned = stats.proposals - stats.scored;
+            if let Some((proposals, scored)) = screen {
                 writeln!(
                     out,
                     "screen      : pruned {:.1}% of {} proposals ({} scored)",
-                    100.0 * pruned as f64 / stats.proposals.max(1) as f64,
-                    stats.proposals,
-                    stats.scored
+                    100.0 * (proposals - scored) as f64 / proposals.max(1) as f64,
+                    proposals,
+                    scored
                 )?;
             }
             if let Some(path) = report {
@@ -2537,7 +2551,7 @@ mod tests {
             &mut Vec::new(),
         )
         .unwrap();
-        let run_once = || {
+        let run_once = |solver: &str| {
             let mut buf = Vec::new();
             run(
                 parse_args(&[
@@ -2545,7 +2559,7 @@ mod tests {
                     "--scenario",
                     scenario_path.to_str().unwrap(),
                     "--solver",
-                    "tsajs",
+                    solver,
                     "--seed",
                     "11",
                 ])
@@ -2561,7 +2575,14 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(run_once(), run_once());
+        for solver in ["tsajs", "tempering"] {
+            let text = run_once(solver);
+            // The annealers report their Metropolis screen like the shard
+            // engine reports its descent screen.
+            assert!(text.contains("screen      : pruned "), "{text}");
+            assert_eq!(text, run_once(solver));
+        }
+        assert!(!run_once("greedy").contains("screen"));
         std::fs::remove_dir_all(dir).ok();
     }
 

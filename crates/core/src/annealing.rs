@@ -2,9 +2,11 @@
 
 use crate::config::{Cooling, InitialSolution, InitialTemperature, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
+use crate::shard::SCREEN_SLACK;
 use crate::trace::{EpochRecord, SearchTrace};
 use mec_system::{Assignment, Evaluator, IncrementalObjective, MoveDesc, Scenario};
 use mec_types::{ServerId, UserId};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// The result of one annealing run.
@@ -14,8 +16,13 @@ pub struct AnnealOutcome {
     pub assignment: Assignment,
     /// Its objective `J*(X)`.
     pub objective: f64,
-    /// Total neighborhood proposals evaluated.
+    /// Total neighborhood proposals drawn.
     pub proposals: u64,
+    /// Of `proposals`, those actually priced with a delta score: the
+    /// Metropolis screen rejects some entry moves unscored (DESIGN.md
+    /// §5). `proposals − scored` is the pruned count. Observational only;
+    /// no result depends on it.
+    pub scored: u64,
     /// Temperature epochs executed.
     pub epochs: u64,
     /// Per-epoch trace, when requested.
@@ -106,13 +113,14 @@ pub(crate) struct ChainState<'a> {
     /// Accepted-worse counter (Algorithm 1, line 4).
     pub(crate) count: u64,
     pub(crate) proposals: u64,
+    /// Of `proposals`, those actually priced with
+    /// [`IncrementalObjective::score`].
+    pub(crate) scored: u64,
     pub(crate) last_resync: u64,
     /// Reusable candidate scratch for the batched proposal step (capacity
     /// reserved for the configured batch width, so the hot loop never
     /// allocates).
     batch: Vec<MoveDesc>,
-    /// Speculative scores paired with `batch`, same reuse discipline.
-    scores: Vec<f64>,
 }
 
 impl<'a> ChainState<'a> {
@@ -131,7 +139,6 @@ impl<'a> ChainState<'a> {
             .expect("warm-start decision must fit the scenario");
         let current_obj = inc.current();
         let best = inc.assignment().clone();
-        let k = batch_width.max(1);
         Self {
             inc,
             current_obj,
@@ -139,9 +146,9 @@ impl<'a> ChainState<'a> {
             best_obj: current_obj,
             count: 0,
             proposals: 0,
+            scored: 0,
             last_resync: 0,
-            batch: Vec::with_capacity(k),
-            scores: Vec::with_capacity(k),
+            batch: Vec::with_capacity(batch_width.max(1)),
         }
     }
 }
@@ -153,30 +160,56 @@ pub(crate) struct EpochStats {
     pub(crate) accepted_better: u32,
 }
 
+/// A sound upper bound on `score(mv) − J` when `mv` is an entry move (a
+/// local user attached to a slot, evicting its occupant if any — see
+/// [`MoveDesc::entry`]); `None` for every other move.
+///
+/// `B = entry_ceiling(u, s, j) − marginal(o) + slack`, where the slack is
+/// [`SCREEN_SLACK`] relative to the largest magnitude compared, so the
+/// rounding of the three values stays covered; the drift of un-resynced
+/// running sums cancels between the marginal and the score (DESIGN.md
+/// §5). A NaN bound screens nothing.
+pub(crate) fn entry_bound(inc: &mut IncrementalObjective<'_>, mv: &MoveDesc) -> Option<f64> {
+    let (user, s, j) = mv.entry(inc.assignment())?;
+    let ceiling = inc.entry_ceiling(user, s, j);
+    let marginal = inc.occupant_marginal(s, j);
+    let scale = inc
+        .current()
+        .abs()
+        .max(marginal.abs())
+        .max(ceiling.abs())
+        .max(1.0);
+    Some(ceiling - marginal + SCREEN_SLACK * scale)
+}
+
 /// Runs one temperature epoch (Algorithm 1, lines 9-25):
 /// `config.inner_iterations` proposal steps at `temperature`, each step
 /// drawing `config.batch_width` speculative candidates, followed by the
 /// epoch-boundary drift-control resync.
 ///
-/// Each step has three phases with a fixed draw order, which is the
-/// seeded-trajectory contract shared by the single chain and every
-/// tempering replica:
+/// Each step draws all `K` candidate moves up front against the same
+/// incumbent (the move-kernel draws, in candidate order), then judges
+/// them one by one in draw order: an improving candidate is accepted
+/// outright, otherwise one uniform is drawn for the Metropolis test
+/// (lines 20-22); the first acceptance wins and only that move is
+/// applied and committed. A candidate is priced through the speculative
+/// [`IncrementalObjective::score`] path only when it is reached, so the
+/// candidates after an acceptance are never scored; every drawn
+/// candidate still counts as a proposal.
 ///
-/// 1. **Draw** — all `K` candidate moves are drawn up front against the
-///    same incumbent (the move-kernel draws, in candidate order);
-/// 2. **Score** — every candidate is scored through the speculative
-///    [`IncrementalObjective::score`] path, which replays the apply-path
-///    arithmetic bit-exactly without touching the state, so rejected
-///    candidates cost no mutation, no journaling, and no undo;
-/// 3. **Select** — candidates are judged sequentially in draw order:
-///    an improving candidate is accepted outright, otherwise one uniform
-///    is drawn for the Metropolis test (lines 20-22); the first
-///    acceptance wins and only that move is applied and committed.
+/// Entry moves are screened first (DESIGN.md §5): when their
+/// [`entry_bound`] `B` is negative the score is certainly worsening, so
+/// the step draws the Metropolis uniform `r` before scoring and rejects
+/// without scoring when `exp(B/T) ≤ r`. Otherwise it scores and tests
+/// `exp(Δ/T) > r` with that same `r`. Because `Δ ≤ B < 0`, the
+/// unscreened step would have drawn the same `r` at the same point of
+/// the stream and reached the same verdict, so the trajectory is
+/// bit-identical.
 ///
 /// With `batch_width == 1` the step consumes the legacy RNG stream
 /// verbatim (one move proposal, then — only on the Metropolis branch —
 /// one uniform) and reproduces the historical apply/undo trajectory bit
-/// for bit. Every scored candidate counts as a proposal.
+/// for bit.
 pub(crate) fn run_epoch<R: Rng + ?Sized>(
     scenario: &Scenario,
     config: &TtsaConfig,
@@ -188,19 +221,23 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
     let mut stats = EpochStats::default();
     let k = config.batch_width.max(1);
     for _ in 0..config.inner_iterations {
-        // Phase 1: fixed draw order, all K candidates against the same
-        // incumbent. The scratch vectors were sized for K at
-        // construction, so the pushes never allocate.
+        // The candidate scratch was sized for K at construction, so the
+        // pushes never allocate.
         kernel.propose_batch(scenario, state.inc.assignment(), k, &mut state.batch, rng);
-        // Phase 2: speculative scoring — no state mutation.
-        state.scores.clear();
-        for mv in &state.batch {
-            state.scores.push(state.inc.score(mv));
-        }
         state.proposals += k as u64;
-        // Phase 3: sequential Metropolis selection; first acceptance
-        // wins, the rest of the batch is discarded.
-        for (mv, &candidate_obj) in state.batch.iter().zip(state.scores.iter()) {
+        for mv in &state.batch {
+            let mut uniform = None;
+            if let Some(bound) = entry_bound(&mut state.inc, mv) {
+                if bound < 0.0 {
+                    let r = rng.gen::<f64>();
+                    if (bound / temperature).exp() <= r {
+                        continue;
+                    }
+                    uniform = Some(r);
+                }
+            }
+            let candidate_obj = state.inc.score(mv);
+            state.scored += 1;
             let delta = candidate_obj - state.current_obj;
             if delta > 0.0 {
                 state.inc.apply(mv);
@@ -212,7 +249,7 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
                     state.best_obj = state.current_obj;
                 }
                 break;
-            } else if (delta / temperature).exp() > rng.gen::<f64>() {
+            } else if (delta / temperature).exp() > uniform.unwrap_or_else(|| rng.gen()) {
                 // Metropolis acceptance of a worsening move (line 20-22).
                 state.inc.apply(mv);
                 state.inc.commit();
@@ -238,6 +275,18 @@ pub(crate) fn run_epoch<R: Rng + ?Sized>(
     }
     stats
 }
+
+/// The signature of [`run_epoch`] on a tempering rung's stream — the
+/// tempering engine takes it as a parameter so the bit-identity tests can
+/// drive the ladder with the unscreened reference epoch.
+pub(crate) type EpochFn = fn(
+    &Scenario,
+    &TtsaConfig,
+    &NeighborhoodKernel,
+    f64,
+    &mut ChainState<'_>,
+    &mut StdRng,
+) -> EpochStats;
 
 /// Applies one cooling step (Algorithm 1, lines 26-30) to `temperature`
 /// and the accepted-worse counter; returns whether the threshold trigger
@@ -341,6 +390,7 @@ pub fn anneal_from<R: Rng + ?Sized>(
         assignment,
         objective,
         proposals: state.proposals,
+        scored: state.scored,
         epochs,
         trace,
     }
@@ -360,6 +410,9 @@ pub(crate) fn settle_best(scenario: &Scenario, best: Assignment) -> (Assignment,
         (Assignment::all_local(scenario), 0.0)
     }
 }
+
+#[cfg(test)]
+mod screen_props;
 
 #[cfg(test)]
 mod tests {

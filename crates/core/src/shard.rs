@@ -641,10 +641,11 @@ pub struct ShardOutcome {
     pub converged: bool,
     /// Total proposals across cluster solves and descent sweeps.
     pub proposals: u64,
-    /// Of `proposals`, those actually scored: every cluster-solve
-    /// proposal plus the descent proposals the [`SlotScreen`] did not
-    /// prune. `proposals − scored` is the pruned count. Observational
-    /// only; no result depends on it.
+    /// Of `proposals`, those actually scored: the cluster solves'
+    /// [`AnnealOutcome::scored`] (their Metropolis screen rejects some
+    /// entry moves unscored) plus the descent proposals the
+    /// [`SlotScreen`] did not prune. `proposals − scored` is the pruned
+    /// count. Observational only; no result depends on it.
     pub scored: u64,
     /// Relative gap between the per-cluster halo-accounting objective sum
     /// and the monolithic resync — the decomposition's self-check,
@@ -821,10 +822,12 @@ impl<'a> ShardRun<'a> {
         // so the union is conflict-free by construction.
         let mut global = Assignment::all_local(scenario);
         let mut proposals = 0u64;
+        let mut scored = 0u64;
         for (work, solved) in works.iter_mut().zip(outcomes) {
             let (outcome, screen) = solved.expect("cluster solved");
             work.screen = screen;
             proposals += outcome.proposals;
+            scored += outcome.scored;
             for (ul, sl, j) in outcome.assignment.offloaded() {
                 global
                     .assign(work.users[ul.index()], work.servers[sl.index()], j)
@@ -836,7 +839,7 @@ impl<'a> ShardRun<'a> {
 
         let resolved = works.len();
         Ok(Self::assemble(
-            scenario, config, workers, partition, works, global, proposals, resolved, 0,
+            scenario, config, workers, partition, works, global, proposals, scored, resolved, 0,
         ))
     }
 
@@ -852,6 +855,7 @@ impl<'a> ShardRun<'a> {
         mut works: Vec<ClusterWork>,
         global: Assignment,
         proposals: u64,
+        scored: u64,
         resolved_clusters: usize,
         reused_clusters: usize,
     ) -> Self {
@@ -874,7 +878,7 @@ impl<'a> ShardRun<'a> {
             converged: false,
             certifying: false,
             proposals,
-            scored: proposals,
+            scored,
             last_residual: f64::INFINITY,
             resolved_clusters,
             reused_clusters,
@@ -1095,6 +1099,7 @@ impl<'a> ShardRun<'a> {
         // Merge in cluster index order (same order as the cold path).
         let mut global = Assignment::all_local(scenario);
         let mut proposals = 0u64;
+        let mut scored = 0u64;
         let mut resolved = 0usize;
         let mut reused = 0usize;
         for i in 0..works.len() {
@@ -1103,6 +1108,7 @@ impl<'a> ShardRun<'a> {
             let final_local = match outcome {
                 Some(outcome) => {
                     proposals += outcome.proposals;
+                    scored += outcome.scored;
                     resolved += 1;
                     works[i].last_obj = outcome.objective;
                     outcome.assignment
@@ -1121,7 +1127,8 @@ impl<'a> ShardRun<'a> {
         }
 
         let mut run = Self::assemble(
-            scenario, config, workers, partition, works, global, proposals, resolved, reused,
+            scenario, config, workers, partition, works, global, proposals, scored, resolved,
+            reused,
         );
         // Clean clusters enter the sweep phase settled: their slice was a
         // descent fixed point under the previous decision's halo, so the
@@ -1698,7 +1705,9 @@ pub const SCREEN_SLACK: f64 = 1e-9;
 /// and capacities — not on [`Scenario::external_rx`] — so a screen stays
 /// valid for the life of the cluster subset it was built from, however
 /// often the halo is re-installed. The cut-offs are recomputed lazily
-/// after every accepted move (one release score per occupied slot).
+/// after every accepted move, from the occupant marginals the
+/// incremental state caches (one release score per slot the move
+/// touched).
 #[derive(Debug, Clone, Default)]
 pub struct SlotScreen {
     /// Ceilings per user: one per slot, or one per server when the
@@ -1781,22 +1790,17 @@ impl SlotScreen {
     }
 
     /// Recomputes every slot's cut-off against `inc`'s current state,
-    /// whose objective is `current`, for acceptance floor `floor`.
-    /// Scores one release move per occupied slot; mutates nothing in
-    /// `inc`.
+    /// whose objective is `current`, for acceptance floor `floor`. Reads
+    /// each occupant's [`IncrementalObjective::occupant_marginal`], which
+    /// re-scores only the slots the moves since the last refresh touched;
+    /// mutates nothing else in `inc`.
     pub fn refresh(&mut self, inc: &mut IncrementalObjective<'_>, current: f64, floor: f64) {
         let n = inc.scenario().num_subchannels();
         let scale = current.abs().max(1.0);
         let margin = floor * scale - SCREEN_SLACK * scale;
         for (p, cutoff) in self.cutoff.iter_mut().enumerate() {
-            let occupant = inc
-                .assignment()
-                .occupant(ServerId::new(p / n), SubchannelId::new(p % n));
-            let marginal = match occupant {
-                None => 0.0,
-                Some(o) => current - inc.score(&MoveDesc::relocate(inc.assignment(), o, None)),
-            };
-            *cutoff = marginal + margin;
+            *cutoff =
+                inc.occupant_marginal(ServerId::new(p / n), SubchannelId::new(p % n)) + margin;
         }
         self.lowest = self
             .cutoff

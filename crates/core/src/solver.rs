@@ -29,6 +29,7 @@ pub struct TsajsSolver {
     strategy: SearchStrategy,
     threads: Option<usize>,
     last_trace: Option<SearchTrace>,
+    last_scored: Option<u64>,
 }
 
 impl TsajsSolver {
@@ -41,6 +42,7 @@ impl TsajsSolver {
             strategy: SearchStrategy::SingleChain,
             threads: None,
             last_trace: None,
+            last_scored: None,
         }
     }
 
@@ -111,6 +113,13 @@ impl TsajsSolver {
         self.last_trace.as_ref()
     }
 
+    /// Of the most recent `solve`'s proposals
+    /// ([`SolverStats::iterations`]), those actually priced with a delta
+    /// score ([`AnnealOutcome::scored`]); `None` before the first solve.
+    pub fn last_scored(&self) -> Option<u64> {
+        self.last_scored
+    }
+
     /// Warm-started solve: continues from an explicit starting decision
     /// instead of a fresh initial solution — the entry point for periodic
     /// re-solves that inherit the previous epoch's schedule. Pair it with
@@ -149,6 +158,7 @@ impl TsajsSolver {
         };
         let elapsed = start.elapsed();
         self.last_trace = outcome.trace;
+        self.last_scored = Some(outcome.scored);
         Ok(Solution {
             assignment: outcome.assignment,
             utility: outcome.objective,
@@ -199,8 +209,10 @@ impl TsajsSolver {
         // The best chain wins; ties break toward the lowest chain index.
         let mut best: Option<AnnealOutcome> = None;
         let mut total_proposals = 0;
+        let mut total_scored = 0;
         for outcome in outcomes.into_iter().map(|o| o.expect("chain ran")) {
             total_proposals += outcome.proposals;
+            total_scored += outcome.scored;
             if best
                 .as_ref()
                 .is_none_or(|b| outcome.objective > b.objective)
@@ -210,6 +222,7 @@ impl TsajsSolver {
         }
         let mut best = best.expect("at least one chain");
         best.proposals = total_proposals;
+        best.scored = total_scored;
         best
     }
 }
@@ -251,6 +264,7 @@ impl Solver for TsajsSolver {
         };
         let elapsed = start.elapsed();
         self.last_trace = outcome.trace;
+        self.last_scored = Some(outcome.scored);
         Ok(Solution {
             assignment: outcome.assignment,
             utility: outcome.objective,

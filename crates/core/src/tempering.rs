@@ -39,7 +39,7 @@
 
 use crate::annealing::{
     apply_cooling, initial_solution, resolve_initial_temperature, resolve_max_count, run_epoch,
-    settle_best, AnnealOutcome, ChainState, EpochStats,
+    settle_best, AnnealOutcome, ChainState, EpochFn, EpochStats,
 };
 use crate::config::{Cooling, TemperingConfig, TtsaConfig};
 use crate::moves::NeighborhoodKernel;
@@ -71,10 +71,11 @@ impl Replica<'_> {
         kernel: &NeighborhoodKernel,
         epochs: u64,
         max_count: u64,
+        epoch: EpochFn,
     ) {
         let mut stats = EpochStats::default();
         for _ in 0..epochs {
-            let s = run_epoch(
+            let s = epoch(
                 scenario,
                 base,
                 kernel,
@@ -161,7 +162,9 @@ pub fn temper<R: Rng + ?Sized>(
     rng: &mut R,
     workers: usize,
 ) -> AnnealOutcome {
-    run(scenario, tempering, base, kernel, rng, workers, None)
+    run(
+        scenario, tempering, base, kernel, rng, workers, None, run_epoch,
+    )
 }
 
 /// [`temper`] with an explicit starting decision: every replica starts
@@ -185,7 +188,16 @@ pub fn temper_from<R: Rng + ?Sized>(
     workers: usize,
     warm: Assignment,
 ) -> AnnealOutcome {
-    run(scenario, tempering, base, kernel, rng, workers, Some(warm))
+    run(
+        scenario,
+        tempering,
+        base,
+        kernel,
+        rng,
+        workers,
+        Some(warm),
+        run_epoch,
+    )
 }
 
 /// The coordinator's sequential between-rounds step: fold rung bests
@@ -269,7 +281,11 @@ fn coordinate_round<'a>(
     }
 }
 
-fn run<'a, R: Rng + ?Sized>(
+/// The engine behind [`temper`] and [`temper_from`], with the epoch
+/// routine every rung runs passed in (always [`run_epoch`] outside the
+/// bit-identity tests, which substitute the unscreened reference).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<'a, R: Rng + ?Sized>(
     scenario: &'a Scenario,
     tcfg: &TemperingConfig,
     base: &TtsaConfig,
@@ -277,6 +293,7 @@ fn run<'a, R: Rng + ?Sized>(
     rng: &mut R,
     workers: usize,
     warm: Option<Assignment>,
+    epoch: EpochFn,
 ) -> AnnealOutcome {
     base.validate()
         .expect("TtsaConfig must be valid; call validate() first");
@@ -330,7 +347,7 @@ fn run<'a, R: Rng + ?Sized>(
         for _ in 0..rounds {
             for (i, slot) in replicas.iter_mut().enumerate() {
                 let rep = slot.as_mut().expect("replica slot filled");
-                rep.run_round(scenario, base, kernel, epochs_by_rung[i], max_count);
+                rep.run_round(scenario, base, kernel, epochs_by_rung[i], max_count, epoch);
             }
             coordinate_round(
                 &mut replicas,
@@ -359,7 +376,14 @@ fn run<'a, R: Rng + ?Sized>(
                 scope.spawn(move || {
                     while let Ok(mut batch) = job_rx.recv() {
                         for (i, rep) in batch.iter_mut() {
-                            rep.run_round(scenario, base, kernel, epochs_by_rung[*i], max_count);
+                            rep.run_round(
+                                scenario,
+                                base,
+                                kernel,
+                                epochs_by_rung[*i],
+                                max_count,
+                                epoch,
+                            );
                         }
                         if res_tx.send(batch).is_err() {
                             break;
@@ -402,8 +426,11 @@ fn run<'a, R: Rng + ?Sized>(
 
     // Account the ensemble's work.
     let mut proposals: u64 = 0;
+    let mut scored: u64 = 0;
     for slot in &replicas {
-        proposals += slot.as_ref().expect("replica slot filled").state.proposals;
+        let state = &slot.as_ref().expect("replica slot filled").state;
+        proposals += state.proposals;
+        scored += state.scored;
     }
     let mut epochs = rounds * epochs_by_rung.iter().sum::<u64>();
 
@@ -491,7 +518,9 @@ fn run<'a, R: Rng + ?Sized>(
                 }
             }
         }
+        // The quench scores every proposal it spends.
         proposals += spent;
+        scored += spent;
         epochs += spent.div_ceil(l);
         if current > best_obj {
             best = inc.into_assignment();
@@ -503,6 +532,7 @@ fn run<'a, R: Rng + ?Sized>(
         assignment,
         objective,
         proposals,
+        scored,
         epochs,
         trace,
     }

@@ -1,11 +1,13 @@
 //! Heap-allocation regression gate for the batched speculative path.
 //!
-//! The batched proposal step (draw K candidates, score all K without
-//! mutating, sequentially Metropolis-select) is the hot loop of every
-//! annealing solver at `batch_width > 1`. Candidate and score scratch
-//! is drawn from reusable `Vec`s and `score()` replays the apply-path
-//! arithmetic against borrowed state, so after warm-up the whole
-//! draw/score/select cycle must not touch the heap at all.
+//! The batched proposal step (draw K candidates, then judge them in
+//! order: screen entry moves against their bound, score the rest without
+//! mutating, Metropolis-select) is the hot loop of every annealing solver
+//! at `batch_width > 1`. Candidate scratch is drawn from a reusable
+//! `Vec`, the occupant marginals live in a cache sized at construction,
+//! and `score()` replays the apply-path arithmetic against borrowed
+//! state, so after warm-up the whole draw/screen/score/select cycle must
+//! not touch the heap at all.
 //!
 //! It must stay the only `#[test]` in this binary: the libtest harness
 //! runs tests on worker threads whose setup allocates, so a sibling
@@ -18,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use tsajs::shard::SCREEN_SLACK;
 use tsajs::NeighborhoodKernel;
 
 /// Pass-through allocator that counts every acquisition path
@@ -55,15 +58,23 @@ fn scenario(users: usize, servers: usize, subchannels: usize) -> Scenario {
         vec![UserSpec::paper_default_with_workload(Cycles::from_mega(2000.0)).unwrap(); users],
         vec![ServerProfile::paper_default(); servers],
         OfdmaConfig::new(Hertz::from_mega(20.0), subchannels).unwrap(),
-        ChannelGains::uniform(users, servers, subchannels, 1e-6).unwrap(),
+        // Spread gains, so that some users cannot beat some occupants and
+        // the screen rejects their entry moves unscored.
+        ChannelGains::from_fn(users, servers, subchannels, |u, s, j| {
+            1e-6 * 10f64.powi(-(((u.index() * 7 + s.index() * 3 + j.index()) % 5) as i32))
+        })
+        .unwrap(),
         Watts::new(1e-13),
     )
     .unwrap()
 }
 
-/// One batched proposal step, shaped exactly like the solver's
-/// draw/score/select cycle: K candidates against the same incumbent,
-/// all scored speculatively, first Metropolis acceptance applied.
+/// One batched proposal step, shaped exactly like the solver's lazy
+/// draw/screen/score/select cycle: K candidates against the same
+/// incumbent, judged in draw order; an entry move whose bound
+/// (`entry_ceiling − occupant_marginal + slack`) already loses to a
+/// pre-drawn uniform is rejected unscored, the rest are scored
+/// speculatively, and the first Metropolis acceptance is applied.
 #[allow(clippy::too_many_arguments)]
 fn batched_step(
     scenario: &Scenario,
@@ -71,18 +82,28 @@ fn batched_step(
     inc: &mut IncrementalObjective<'_>,
     current_obj: &mut f64,
     batch: &mut Vec<MoveDesc>,
-    scores: &mut Vec<f64>,
     k: usize,
     rng: &mut StdRng,
+    pruned: &mut u64,
 ) {
     kernel.propose_batch(scenario, inc.assignment(), k, batch, rng);
-    scores.clear();
     for mv in batch.iter() {
-        scores.push(inc.score(mv));
-    }
-    for (mv, &candidate) in batch.iter().zip(scores.iter()) {
+        let mut uniform = None;
+        if let Some((u, s, j)) = mv.entry(inc.assignment()) {
+            let bound = inc.entry_ceiling(u, s, j) - inc.occupant_marginal(s, j)
+                + SCREEN_SLACK * current_obj.abs().max(1.0);
+            if bound < 0.0 {
+                let r = rng.gen::<f64>();
+                if (bound * 2.0).exp() <= r {
+                    *pruned += 1;
+                    continue;
+                }
+                uniform = Some(r);
+            }
+        }
+        let candidate = inc.score(mv);
         let delta = candidate - *current_obj;
-        if delta > 0.0 || (delta * 2.0).exp() > rng.gen::<f64>() {
+        if delta > 0.0 || (delta * 2.0).exp() > uniform.unwrap_or_else(|| rng.gen::<f64>()) {
             inc.apply(mv);
             inc.commit();
             *current_obj = candidate;
@@ -99,9 +120,9 @@ fn the_batched_score_path_performs_zero_heap_allocations() {
     let initial = mec_system::Assignment::all_local(&scenario);
     let mut inc = IncrementalObjective::new(&scenario, initial).unwrap();
     let mut current_obj = inc.current();
+    let mut pruned = 0;
     const K: usize = 8;
     let mut batch: Vec<MoveDesc> = Vec::with_capacity(K);
-    let mut scores: Vec<f64> = Vec::with_capacity(K);
 
     // Warm-up: let the pending-move machinery and the candidate scratch
     // reach their steady-state capacities.
@@ -112,13 +133,14 @@ fn the_batched_score_path_performs_zero_heap_allocations() {
             &mut inc,
             &mut current_obj,
             &mut batch,
-            &mut scores,
             K,
             &mut rng,
+            &mut pruned,
         );
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
+    pruned = 0;
     for _ in 0..5_000 {
         batched_step(
             &scenario,
@@ -126,15 +148,19 @@ fn the_batched_score_path_performs_zero_heap_allocations() {
             &mut inc,
             &mut current_obj,
             &mut batch,
-            &mut scores,
             K,
             &mut rng,
+            &mut pruned,
         );
     }
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         delta, 0,
-        "the batched draw/score/select loop heap-allocated {delta} times \
+        "the batched draw/screen/score/select loop heap-allocated {delta} times \
          over 5000 steps of width {K}; the hot loop must be allocation-free"
+    );
+    assert!(
+        pruned > 0,
+        "the measured window never took the screen's skip"
     );
 }

@@ -231,6 +231,40 @@ impl MoveDesc {
         mv
     }
 
+    /// The slot a local user enters, when the move is an *entry move*
+    /// against `x`: a single `Assign` of a local user onto a free slot, or
+    /// the `Release` of a slot's occupant followed by the `Assign` of a
+    /// different (local) user onto that same slot. Those are the shapes
+    /// [`relocate`](Self::relocate), [`relocate_evicting`](Self::relocate_evicting)
+    /// and [`swap`](Self::swap) build for a local user. Returns
+    /// `(user, server, subchannel)`; the evicted occupant, if any, is
+    /// `x.occupant(server, subchannel)`. `None` for every other move.
+    pub fn entry(&self, x: &Assignment) -> Option<(UserId, ServerId, SubchannelId)> {
+        match (self.len, self.ops[0], self.ops[1]) {
+            (
+                1,
+                Some(PrimOp::Assign {
+                    user,
+                    server,
+                    subchannel,
+                }),
+                _,
+            ) => Some((user, server, subchannel)),
+            (
+                2,
+                Some(PrimOp::Release { user: occupant }),
+                Some(PrimOp::Assign {
+                    user,
+                    server,
+                    subchannel,
+                }),
+            ) if occupant != user && x.occupant(server, subchannel) == Some(occupant) => {
+                Some((user, server, subchannel))
+            }
+            _ => None,
+        }
+    }
+
     /// Applies the move to a plain assignment (no incremental state).
     ///
     /// # Errors
@@ -385,6 +419,17 @@ pub struct IncrementalObjective<'a> {
     /// Scratch `(Γ numerator, SINR)` pairs for [`score`](Self::score)'s
     /// split Γ fold — gathered call-free, consumed by the `log2` pass.
     score_fold: Vec<(f64, f64)>,
+    /// Per-slot `(generation, value)` cache of
+    /// [`occupant_marginal`](Self::occupant_marginal), slot `s·N + j`. An
+    /// entry is live only while its generation equals `generation`;
+    /// [`apply`](Self::apply) stamps the entries it can change with `0`
+    /// (never live).
+    marginals: Vec<(u64, f64)>,
+    /// Starts at 1 and is bumped by [`undo`](Self::undo) and
+    /// [`resync`](Self::resync) (and so
+    /// [`replace_assignment`](Self::replace_assignment)), which
+    /// invalidates every cached marginal in `O(1)`.
+    generation: u64,
 }
 
 impl<'a> IncrementalObjective<'a> {
@@ -446,6 +491,8 @@ impl<'a> IncrementalObjective<'a> {
             log: MoveLog::with_capacity(servers, stride),
             score_totals: Vec::with_capacity(MAX_MOVE_OPS * stride),
             score_fold: Vec::with_capacity(stride),
+            marginals: vec![(0, 0.0); servers * num_sub],
+            generation: 1,
         };
         inc.resync();
         Ok(inc)
@@ -492,6 +539,14 @@ impl<'a> IncrementalObjective<'a> {
         if self.num_offloaded == 0 {
             return 0.0;
         }
+        self.running()
+    }
+
+    /// [`current`](Self::current) without its exact-zero pin of the
+    /// empty decision: the running sums, which carry the drift of every
+    /// in-place update since the last [`resync`](Self::resync).
+    #[inline]
+    fn running(&self) -> f64 {
         if self.nonfinite > 0 {
             return f64::NEG_INFINITY;
         }
@@ -530,6 +585,7 @@ impl<'a> IncrementalObjective<'a> {
     /// [`Evaluator::objective_with`]: crate::Evaluator::objective_with
     pub fn resync(&mut self) {
         self.log.discard();
+        self.generation += 1;
         let servers = self.scenario.num_servers();
         let stride = self.stride;
         self.totals.iter_mut().for_each(|t| *t = 0.0);
@@ -655,6 +711,7 @@ impl<'a> IncrementalObjective<'a> {
                         .release(user)
                         .expect("MoveDesc releases an offloaded user");
                     self.leave(user, s);
+                    self.forget_marginals(s, j);
                     touch(j);
                     changes[num_changes] = Some((user, j, false));
                     self.log.inverse.push(PrimOp::Assign {
@@ -672,6 +729,7 @@ impl<'a> IncrementalObjective<'a> {
                         .assign(user, server, subchannel)
                         .expect("MoveDesc assigns into a free slot");
                     self.join(user, server, subchannel);
+                    self.forget_marginals(server, subchannel);
                     touch(subchannel);
                     changes[num_changes] = Some((user, subchannel, true));
                     self.log.inverse.push(PrimOp::Release { user });
@@ -766,6 +824,21 @@ impl<'a> IncrementalObjective<'a> {
         self.current() - before
     }
 
+    /// Invalidates the cached [`occupant_marginal`](Self::occupant_marginal)
+    /// of every slot a membership change at `(s, j)` can move: the slots
+    /// of server `s` (their occupants share its Λ term) and the slots of
+    /// subchannel `j` (their occupants share its interference field).
+    /// Every other occupant's marginal is unchanged by the op.
+    fn forget_marginals(&mut self, s: ServerId, j: SubchannelId) {
+        let n = self.num_sub;
+        for slot in &mut self.marginals[s.index() * n..][..n] {
+            slot.0 = 0;
+        }
+        for slot in self.marginals[j.index()..].iter_mut().step_by(n) {
+            slot.0 = 0;
+        }
+    }
+
     /// Membership bookkeeping when `user` leaves server `s`: benefit sum,
     /// server Λ term, and retirement of its Γ term. The totals row of its
     /// subchannel is updated by the caller's fused totals pass.
@@ -837,6 +910,7 @@ impl<'a> IncrementalObjective<'a> {
     pub fn undo(&mut self) {
         assert!(self.log.valid, "no uncommitted move to undo");
         self.log.valid = false;
+        self.generation += 1;
         self.log.new_totals.clear();
         self.log.touched_subs.clear();
         self.log.new_gammas.clear();
@@ -915,6 +989,16 @@ impl IncrementalObjective<'_> {
     /// decision yields a meaningless value (and panics in debug builds
     /// where the mismatch is detectable).
     pub fn score(&mut self, mv: &MoveDesc) -> f64 {
+        self.replay(mv, true)
+    }
+
+    /// [`score`](Self::score), optionally without its exact-zero pin of
+    /// the empty decision: with `pin_empty == false` a move that leaves
+    /// nobody offloaded is priced by the running sums like any other, so
+    /// the value carries the same drift as [`current`](Self::current)
+    /// does (see [`occupant_marginal`](Self::occupant_marginal)).
+    #[inline(always)]
+    fn replay(&mut self, mv: &MoveDesc, pin_empty: bool) -> f64 {
         self.commit();
         // Local replicas of the scalar sums `apply` updates in place.
         let mut gain_sum = self.gain_sum;
@@ -1133,7 +1217,7 @@ impl IncrementalObjective<'_> {
             gamma_sum += row_new - row_old;
         }
 
-        if num_offloaded == 0 {
+        if num_offloaded == 0 && pin_empty {
             0.0
         } else if nonfinite > 0 {
             f64::NEG_INFINITY
@@ -1199,6 +1283,45 @@ impl IncrementalObjective<'_> {
         let execution = lambda_term_from(load + q, self.capacity[si])
             - lambda_term_from(load, self.capacity[si]);
         self.coeffs.gain_const[u] - uplink - execution
+    }
+
+    /// What the occupant `o` of slot `(s, j)` contributes to the current
+    /// objective: `marginal(o) = J − J(X − o)`, priced as
+    /// `current() − score(release o)`; `0.0` for a free slot. With
+    /// [`entry_ceiling`](Self::entry_ceiling) it bounds an entry move
+    /// (see [`MoveDesc::entry`]): attaching a local user to `(s, j)` and
+    /// evicting `o` changes `J` by at most `entry_ceiling − marginal(o)`.
+    ///
+    /// `J(X − o)` is priced by the running sums even when `X − o` is the
+    /// empty decision, which [`score`](Self::score) pins to exactly `0`;
+    /// likewise a free slot of the empty decision gets `current()` minus
+    /// the running sums. The accumulated drift of in-place updates then
+    /// cancels between the marginal and the score of an entry move, as it
+    /// does between any two scores, so the bound holds on drifted states
+    /// up to the rounding of the values compared (DESIGN.md §5).
+    ///
+    /// Cached per slot and re-scored lazily: the first call after a state
+    /// mutation costs one [`score`](Self::score), later calls cost a
+    /// lookup. Every mutating entry point invalidates the cache:
+    /// [`apply`](Self::apply) the slots on the servers and subchannels
+    /// its ops touch (no other occupant's marginal can change),
+    /// [`undo`](Self::undo), [`resync`](Self::resync) and
+    /// [`replace_assignment`](Self::replace_assignment) every slot. A
+    /// clone carries the cache with the state.
+    pub fn occupant_marginal(&mut self, s: ServerId, j: SubchannelId) -> f64 {
+        let p = s.index() * self.num_sub + j.index();
+        let (generation, cached) = self.marginals[p];
+        if generation == self.generation {
+            return cached;
+        }
+        let Some(o) = self.x.occupant(s, j) else {
+            // `0.0` unless the decision is empty and the sums have
+            // drifted; cheap, and it depends on every slot, so uncached.
+            return self.current() - self.running();
+        };
+        let marginal = self.current() - self.replay(&MoveDesc::relocate(&self.x, o, None), false);
+        self.marginals[p] = (self.generation, marginal);
+        marginal
     }
 }
 
@@ -1479,6 +1602,86 @@ mod tests {
         inc.resync();
         let reference = ev.objective_with(inc.assignment(), &mut scratch);
         assert_close(inc.current(), reference, "post-resync");
+    }
+
+    #[test]
+    fn entry_recognizes_a_local_user_taking_a_slot() {
+        let sc = random_scenario(4, 4, 2, 2);
+        let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
+        let (s0, s1) = (ServerId::new(0), ServerId::new(1));
+        let j = SubchannelId::new(0);
+        let mut x = Assignment::all_local(&sc);
+        x.assign(a, s0, j).unwrap();
+        // Free slot, occupied slot, and the swap of a local user with an
+        // offloaded one all enter `b` at the target slot.
+        assert_eq!(
+            MoveDesc::relocate(&x, b, Some((s1, j))).entry(&x),
+            Some((b, s1, j))
+        );
+        assert_eq!(
+            MoveDesc::relocate_evicting(&x, b, s0, j).entry(&x),
+            Some((b, s0, j))
+        );
+        assert_eq!(MoveDesc::swap(&x, a, b).entry(&x), Some((b, s0, j)));
+        assert_eq!(MoveDesc::swap(&x, b, a).entry(&x), Some((b, s0, j)));
+        // Moves of offloaded users, releases, swaps of two offloaded users
+        // and no-ops are not entry moves.
+        x.assign(c, s1, j).unwrap();
+        for mv in [
+            MoveDesc::relocate_evicting(&x, a, s1, SubchannelId::new(1)),
+            MoveDesc::relocate_evicting(&x, a, s1, j),
+            MoveDesc::relocate(&x, a, None),
+            MoveDesc::swap(&x, a, c),
+            MoveDesc::noop(),
+        ] {
+            assert_eq!(mv.entry(&x), None, "{mv:?}");
+        }
+        // A release elsewhere followed by an assign is not an eviction.
+        let mut odd = MoveDesc::noop();
+        odd.push(PrimOp::Release { user: a });
+        odd.push(PrimOp::Assign {
+            user: b,
+            server: s1,
+            subchannel: SubchannelId::new(1),
+        });
+        assert_eq!(odd.entry(&x), None);
+    }
+
+    #[test]
+    fn occupant_marginal_follows_every_mutation() {
+        let sc = random_scenario(21, 8, 3, 2);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut inc = IncrementalObjective::new(&sc, random_assignment(&sc, 6)).unwrap();
+        // Fresh marginals: `J − score(release o)`, 0 for a free slot.
+        let check = |inc: &mut IncrementalObjective<'_>, what: &str| {
+            for s in sc.server_ids() {
+                for j in SubchannelId::all(sc.num_subchannels()) {
+                    let cached = inc.occupant_marginal(s, j);
+                    let fresh = match inc.assignment().occupant(s, j) {
+                        None => 0.0,
+                        Some(o) => {
+                            inc.current()
+                                - inc.score(&MoveDesc::relocate(inc.assignment(), o, None))
+                        }
+                    };
+                    assert_close(cached, fresh, what);
+                }
+            }
+        };
+        for step in 0..200 {
+            check(&mut inc, &format!("step {step}"));
+            let mv = random_move(&sc, inc.assignment(), &mut rng);
+            inc.apply(&mv);
+            if rng.gen_bool(0.3) {
+                inc.undo();
+            }
+            if step % 50 == 49 {
+                inc.resync();
+            }
+        }
+        let other = random_assignment(&sc, 99);
+        inc.replace_assignment(&other).unwrap();
+        check(&mut inc, "replaced");
     }
 
     #[test]
